@@ -8,7 +8,6 @@ from .convops import (
     upsample,
 )
 from .gradcheck import grad_check
-from .lstm import ConvLSTMParams, ConvLSTMState, LSTMParams, convlstm_step, lstm_step
 from .network import (
     NetworkSpec,
     RandomConnectionNet,
@@ -19,7 +18,7 @@ from .network import (
     save_checkpoint,
     train_toy,
 )
-from .selection import SelectionResult, confidence, consistency, node_energy, select
+from .selection import SelectionResult, confidence, consistency, select
 from .walker import (
     CompactGraph,
     IntensityVolume,

@@ -17,7 +17,7 @@ class PipelineConfig:
     beta: float = 100.0
     learning_rate: float = 1e-4
     solver_tol: float = 1e-8
-    seeds: dict = field(default_factory=lambda: {"synth": 0, "network": 0})
+    seeds: dict = field(default_factory=lambda: {"network": 0})
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:

@@ -4,12 +4,13 @@ Everything works on plain numpy arrays in channels-first layout
 ([maps, depth, height, width] for volumes).  Each trainable op comes as a
 forward/backward pair so the network code can run reverse-mode training
 without an autograd framework.  Operations are pure functions of their
-inputs; float64 is used for tests and float32 is accepted on production
-paths.
+inputs and compute in numpy's promoted dtype of their arguments.  The
+network casts its input volumes to float64 and draws float64 weights, so
+training and inference run in float64.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numpy.lib.stride_tricks import sliding_window_view
 
 
@@ -238,9 +239,6 @@ def pool3d_backward(grad, cache):
         np.put_along_axis(gflat, arg[..., None], grad[..., None], axis=-1)
     else:
         gflat += (grad / wflat)[..., None]
-    inter = []
-    for o, w in zip(out, window):
-        inter.extend((o, w))
     inv = np.argsort(perm)
     gx = gflat.reshape(out + window).transpose(inv).reshape(shape)
     return gx

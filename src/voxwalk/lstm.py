@@ -1,120 +1,14 @@
-"""Classic (fully-connected) LSTM cell and its convolutional counterpart.
+"""Gate nonlinearities of the LSTM cell (Hochreiter & Schmidhuber; the
+convolutional form of Shi et al., arXiv:1506.04214).
 
-The fully-connected cell is kept primarily as a correctness reference: a
-ConvLSTM with 1x1 spatial extent and 1x1 kernels must reproduce it exactly.
-Both cells expose explicit backward functions for gradient checking and
-backprop-through-time inside the network units.
+The cell's linear transforms are supplied by the caller as stacked
+pre-activations, so the same elementwise math serves any layout:
+:class:`voxwalk.network.ConvLSTMUnit` feeds it the sum of its input-to-state
+and state-to-state convolutions, one [4n,H,W] slice per scanned step.
 """
 
 import numpy as np
-from dataclasses import dataclass
 from scipy.special import expit
-
-GATE_ORDER = ("i", "f", "c", "o")
-
-
-@dataclass
-class LSTMParams:
-    """Fully-connected cell parameters: input weights [n,m], recurrent
-    weights [n,n], biases [n], one set per gate (input/forget/cell/output)."""
-
-    w_xi: np.ndarray
-    w_xf: np.ndarray
-    w_xc: np.ndarray
-    w_xo: np.ndarray
-    w_hi: np.ndarray
-    w_hf: np.ndarray
-    w_hc: np.ndarray
-    w_ho: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-
-    def __post_init__(self):
-        xs = [self.w_xi, self.w_xf, self.w_xc, self.w_xo]
-        hs = [self.w_hi, self.w_hf, self.w_hc, self.w_ho]
-        bs = [self.b_i, self.b_f, self.b_c, self.b_o]
-        if len({w.shape for w in xs}) != 1:
-            raise ValueError("all four input weight matrices must share one shape")
-        if len({w.shape for w in hs}) != 1:
-            raise ValueError("all four recurrent weight matrices must share one shape")
-        n = xs[0].shape[0]
-        if hs[0].shape != (n, n):
-            raise ValueError(
-                f"recurrent weights must be square [n,n]={n,n}, got {hs[0].shape}")
-        if any(b.shape != (n,) for b in bs):
-            raise ValueError(f"biases must have length n={n}")
-
-
-@dataclass
-class ConvLSTMParams:
-    """Convolutional cell parameters: input kernels [n,m,k,k], recurrent
-    kernels [n,n,k,k], biases [n], one set per gate."""
-
-    w_xi: np.ndarray
-    w_xf: np.ndarray
-    w_xc: np.ndarray
-    w_xo: np.ndarray
-    w_hi: np.ndarray
-    w_hf: np.ndarray
-    w_hc: np.ndarray
-    w_ho: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-
-    def __post_init__(self):
-        xs = [self.w_xi, self.w_xf, self.w_xc, self.w_xo]
-        hs = [self.w_hi, self.w_hf, self.w_hc, self.w_ho]
-        bs = [self.b_i, self.b_f, self.b_c, self.b_o]
-        if any(w.ndim != 4 for w in xs + hs):
-            raise ValueError("ConvLSTM weights must be 4-D [maps, maps, k, k]")
-        if len({w.shape for w in xs}) != 1:
-            raise ValueError("all four input kernel tensors must share one shape")
-        if len({w.shape for w in hs}) != 1:
-            raise ValueError("all four recurrent kernel tensors must share one shape")
-        n = xs[0].shape[0]
-        if hs[0].shape[:2] != (n, n):
-            raise ValueError(
-                f"recurrent kernels must be square in the map dimension (n={n}), "
-                f"got {hs[0].shape}")
-        if any(b.shape != (n,) for b in bs):
-            raise ValueError(f"biases must have length n={n}")
-
-    @property
-    def n_maps(self):
-        return self.w_xi.shape[0]
-
-    @property
-    def in_maps(self):
-        return self.w_xi.shape[1]
-
-    def stacked(self):
-        """Gate-stacked views (i,f,c,o order): wx [4n,m,k,k], wh [4n,n,k,k], b [4n]."""
-        wx = np.concatenate([self.w_xi, self.w_xf, self.w_xc, self.w_xo])
-        wh = np.concatenate([self.w_hi, self.w_hf, self.w_hc, self.w_ho])
-        b = np.concatenate([self.b_i, self.b_f, self.b_c, self.b_o])
-        return wx, wh, b
-
-
-@dataclass
-class ConvLSTMState:
-    """Hidden and memory-cell maps, both [n, H, W]."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        if self.h.shape != self.c.shape:
-            raise ValueError(
-                f"hidden {self.h.shape} and cell {self.c.shape} must share shape")
-
-    @classmethod
-    def zeros(cls, n, height, width, dtype=np.float64):
-        z = np.zeros((n, height, width), dtype=dtype)
-        return cls(z, z.copy())
 
 
 def gate_math_forward(z, c_prev):
@@ -155,111 +49,3 @@ def gate_math_backward(dh, dc, cache):
     dzo = do * o * (1.0 - o)
     dz = np.concatenate([dzi, dzf, dzc, dzo])
     return dz, dc_prev
-
-
-def lstm_step(x, h_prev, c_prev, params):
-    """One fully-connected LSTM update; returns (h, c)."""
-    h, c, _ = lstm_step_forward(x, h_prev, c_prev, params)
-    return h, c
-
-
-def lstm_step_forward(x, h_prev, c_prev, params):
-    x = np.asarray(x)
-    h_prev = np.asarray(h_prev)
-    c_prev = np.asarray(c_prev)
-    n, m = params.w_xi.shape
-    if x.shape != (m,):
-        raise ValueError(f"input length {x.shape} does not match weights [{n},{m}]")
-    if h_prev.shape != (n,) or c_prev.shape != (n,):
-        raise ValueError(
-            f"state length {h_prev.shape}/{c_prev.shape} does not match n={n}")
-    wx = np.concatenate([params.w_xi, params.w_xf, params.w_xc, params.w_xo])
-    wh = np.concatenate([params.w_hi, params.w_hf, params.w_hc, params.w_ho])
-    b = np.concatenate([params.b_i, params.b_f, params.b_c, params.b_o])
-    z = wx @ x + wh @ h_prev + b
-    h, c, gcache = gate_math_forward(z, c_prev)
-    return h, c, (x, h_prev, gcache, wx, wh)
-
-
-def lstm_step_backward(dh, dc, cache):
-    """Gradients of one LSTM step.
-
-    Returns (dx, dh_prev, dc_prev, grads) with grads keyed by LSTMParams
-    field names.
-    """
-    x, h_prev, gcache, wx, wh = cache
-    dz, dc_prev = gate_math_backward(dh, dc, gcache)
-    dx = wx.T @ dz
-    dh_prev = wh.T @ dz
-    dwx = np.outer(dz, x)
-    dwh = np.outer(dz, h_prev)
-    n = dz.shape[0] // 4
-    grads = {}
-    for gi, gate in enumerate(GATE_ORDER):
-        grads[f"w_x{gate}"] = dwx[gi * n:(gi + 1) * n]
-        grads[f"w_h{gate}"] = dwh[gi * n:(gi + 1) * n]
-        grads[f"b_{gate}"] = dz[gi * n:(gi + 1) * n]
-    return dx, dh_prev, dc_prev, grads
-
-
-def convlstm_step(x_t, state, params):
-    """One ConvLSTM update on a [m,H,W] slice; returns the new state.
-
-    Input-to-state and state-to-state transforms are 'same'-padded unit
-    stride convolutions, so spatial extents are preserved.
-    """
-    new_state, _ = convlstm_step_forward(x_t, state, params)
-    return new_state
-
-
-def convlstm_step_forward(x_t, state, params):
-    from .convops import conv2d_forward
-
-    x_t = np.asarray(x_t)
-    if x_t.ndim != 3:
-        raise ValueError(f"ConvLSTM input must be [m,H,W], got shape {x_t.shape}")
-    if x_t.shape[0] != params.in_maps:
-        raise ValueError(
-            f"input has {x_t.shape[0]} feature maps but kernels expect "
-            f"{params.in_maps}")
-    if state.h.shape[0] != params.n_maps:
-        raise ValueError(
-            f"state has {state.h.shape[0]} feature maps but kernels produce "
-            f"{params.n_maps}")
-    if x_t.shape[1:] != state.h.shape[1:]:
-        raise ValueError(
-            f"spatial extents differ: input {x_t.shape[1:]} vs state {state.h.shape[1:]}")
-    wx, wh, b = params.stacked()
-    xterm, xp, xpads = conv2d_forward(x_t, wx, b, padding="same")
-    hterm, hp, hpads = conv2d_forward(state.h, wh, None, padding="same")
-    h, c, gcache = gate_math_forward(xterm + hterm, state.c)
-    cache = (xp, xpads, hp, hpads, gcache, wx, wh)
-    return ConvLSTMState(h, c), cache
-
-
-def convlstm_step_backward(dh, dc, cache):
-    """Gradients of one ConvLSTM step.
-
-    Returns (dx, dh_prev, dc_prev, grads) with grads keyed by ConvLSTMParams
-    field names.
-    """
-    from .convops import conv2d_backward
-
-    xp, xpads, hp, hpads, gcache, wx, wh = cache
-    dz, dc_prev = gate_math_backward(dh, dc, gcache)
-    dx, dwx, db = conv2d_backward(dz, xp, wx, xpads, with_bias=True)
-    dh_prev, dwh, _ = conv2d_backward(dz, hp, wh, hpads, with_bias=False)
-    grads = split_stacked_grads(dwx, dwh, db)
-    return dx, dh_prev, dc_prev, grads
-
-
-def split_stacked_grads(dwx, dwh, db):
-    """Split gate-stacked gradient tensors back into per-field arrays."""
-    n = db.shape[0] // 4
-    grads = {}
-    for gi, gate in enumerate(GATE_ORDER):
-        sl = slice(gi * n, (gi + 1) * n)
-        grads[f"w_x{gate}"] = dwx[sl]
-        grads[f"w_h{gate}"] = dwh[sl]
-        grads[f"b_{gate}"] = db[sl]
-    return grads

@@ -19,7 +19,7 @@ import struct
 import tempfile
 
 import numpy as np
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from scipy.special import expit
 
 from .convops import (
@@ -32,22 +32,17 @@ from .convops import (
     conv2d_forward,
     conv2d_backward,
 )
-from .lstm import ConvLSTMParams, gate_math_forward, gate_math_backward, split_stacked_grads
+from .lstm import gate_math_forward, gate_math_backward
 
 UNIT_TYPES = ("conv3d", "convlstm")
 
-CONVLSTM_PARAM_FIELDS = (
-    "w_xi", "w_xf", "w_xc", "w_xo",
-    "w_hi", "w_hf", "w_hc", "w_ho",
-    "b_i", "b_f", "b_c", "b_o",
-)
-
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss turns non-finite."""
+    """Raised when the training loss or a gradient turns non-finite."""
 
     def __init__(self, iteration, loss):
-        super().__init__(f"non-finite loss ({loss!r}) at iteration {iteration}")
+        super().__init__(
+            f"non-finite loss or gradient (loss {loss!r}) at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -91,7 +86,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     epochs: int = 1
     batch_size: int = 1
-    loss: str = "bce"
 
     def __post_init__(self):
         # learning_rate 0 is allowed so a no-op training run can be tested
@@ -99,8 +93,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.loss != "bce":
-            raise ValueError(f"only binary cross-entropy is supported, got {self.loss!r}")
 
 
 def sample_mask(alpha, depth, rng):
@@ -125,9 +117,6 @@ class Conv3DLayer:
         self.bias = np.zeros(out_maps)
         self.activation = activation
 
-    def get_param(self, key):
-        return getattr(self, key)
-
     def forward(self, x):
         y, xp, pads = conv3d_forward(x, self.weights, self.bias, padding="same")
         if self.activation == "relu":
@@ -149,65 +138,55 @@ class ConvLSTMUnit:
     """ConvLSTM scanned along the first volume axis.
 
     Takes [m, L, H, W], returns the hidden-state sequence [n, L, H, W].
+    Weights are gate-stacked in (i,f,c,o) order: input-to-state kernels
+    wx [4n,m,k,k], state-to-state kernels wh [4n,n,k,k], biases b [4n].
     The input-to-state convolutions for all steps run as one batched
     convolution; the state-to-state convolution runs per step.
     """
 
-    keys = CONVLSTM_PARAM_FIELDS
+    keys = ("wx", "wh", "b")
 
     def __init__(self, in_maps, out_maps, kernel, rng):
         sx = np.sqrt(1.0 / (in_maps * kernel * kernel))
         sh = np.sqrt(1.0 / (out_maps * kernel * kernel))
-        def wx():
-            return rng.uniform(-sx, sx, size=(out_maps, in_maps, kernel, kernel))
-        def wh():
-            return rng.uniform(-sh, sh, size=(out_maps, out_maps, kernel, kernel))
-        def b():
-            return np.zeros(out_maps)
-        self.params = ConvLSTMParams(
-            w_xi=wx(), w_xf=wx(), w_xc=wx(), w_xo=wx(),
-            w_hi=wh(), w_hf=wh(), w_hc=wh(), w_ho=wh(),
-            b_i=b(), b_f=b(), b_c=b(), b_o=b(),
-        )
-
-    def get_param(self, key):
-        return getattr(self.params, key)
+        self.wx = rng.uniform(-sx, sx, size=(4 * out_maps, in_maps, kernel, kernel))
+        self.wh = rng.uniform(-sh, sh, size=(4 * out_maps, out_maps, kernel, kernel))
+        self.b = np.zeros(4 * out_maps)
 
     def forward(self, x):
         if x.ndim != 4:
             raise ValueError(f"ConvLSTM unit expects [m,L,H,W], got shape {x.shape}")
-        wx, wh, b = self.params.stacked()
-        n = self.params.n_maps
+        n = self.b.shape[0] // 4
         length = x.shape[1]
-        xterm, xp, xpads = conv3d_forward(x, wx[:, :, None], b, padding="same")
+        xterm, xp, xpads = conv3d_forward(x, self.wx[:, :, None], self.b, padding="same")
         h = np.zeros((n,) + x.shape[2:], dtype=x.dtype)
         c = np.zeros_like(h)
         outs = np.empty((n, length) + x.shape[2:], dtype=x.dtype)
         steps = []
         for t in range(length):
-            hterm, hp, hpads = conv2d_forward(h, wh, None, padding="same")
+            hterm, hp, hpads = conv2d_forward(h, self.wh, None, padding="same")
             h, c, gcache = gate_math_forward(xterm[:, t] + hterm, c)
             outs[:, t] = h
             steps.append((hp, hpads, gcache))
-        return outs, (xp, xpads, wx, wh, steps)
+        return outs, (xp, xpads, steps)
 
     def backward(self, dy, cache):
-        xp, xpads, wx, wh, steps = cache
+        xp, xpads, steps = cache
         length = dy.shape[1]
-        dxterm = np.empty((wx.shape[0], length) + dy.shape[2:], dtype=dy.dtype)
-        dwh = np.zeros_like(wh)
+        dxterm = np.empty((self.wx.shape[0], length) + dy.shape[2:], dtype=dy.dtype)
+        dwh = np.zeros_like(self.wh)
         dh_next = np.zeros(dy.shape[:1] + dy.shape[2:], dtype=dy.dtype)
         dc_next = np.zeros_like(dh_next)
         for t in reversed(range(length)):
             hp, hpads, gcache = steps[t]
             dz, dc_prev = gate_math_backward(dy[:, t] + dh_next, dc_next, gcache)
             dxterm[:, t] = dz
-            dh_prev, dwh_t, _ = conv2d_backward(dz, hp, wh, hpads, with_bias=False)
+            dh_prev, dwh_t, _ = conv2d_backward(dz, hp, self.wh, hpads, with_bias=False)
             dwh += dwh_t
             dh_next = dh_prev
             dc_next = dc_prev
-        dx, dwx, db = conv3d_backward(dxterm, xp, wx[:, :, None], (1, 1, 1), xpads)
-        return dx, split_stacked_grads(dwx[:, :, 0], dwh, db)
+        dx, dwx, db = conv3d_backward(dxterm, xp, self.wx[:, :, None], (1, 1, 1), xpads)
+        return dx, {"wx": dwx[:, :, 0], "wh": dwh, "b": db}
 
 
 class RandomConnectionNet:
@@ -246,7 +225,7 @@ class RandomConnectionNet:
         out = []
         for j, layer in enumerate(self._layers):
             for key in layer.keys:
-                out.append((j, key, layer.get_param(key)))
+                out.append((j, key, getattr(layer, key)))
         return out
 
     def _check_volume(self, volume):
@@ -356,11 +335,7 @@ class RandomConnectionNet:
     def apply_gradients(self, grads, lr):
         for layer, g in zip(self._layers, grads):
             for key, dval in g.items():
-                layer.get_param(key)[...] -= lr * dval
-
-
-def forward(net, volume, mask=None):
-    return net.forward(volume, mask=mask)
+                getattr(layer, key)[...] -= lr * dval
 
 
 def infer(net, volume, mode="expectation"):
@@ -411,17 +386,22 @@ def train_toy(spec, config, dataset, connection_mode="sampled"):
                 mask = all_true
             loss = 0.0
             acc = None
-            for vol, lab in batch:
-                l, grads = net.loss_and_grads(vol, lab, mask=mask)
-                loss += l
-                if acc is None:
-                    acc = grads
-                else:
-                    for a, g in zip(acc, grads):
-                        for key in a:
-                            a[key] += g[key]
+            # overflow on the way to divergence is reported by the finiteness
+            # check below, not as numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                for vol, lab in batch:
+                    l, grads = net.loss_and_grads(vol, lab, mask=mask)
+                    loss += l
+                    if acc is None:
+                        acc = grads
+                    else:
+                        for a, g in zip(acc, grads):
+                            for key in a:
+                                a[key] += g[key]
             loss /= len(batch)
-            if not np.isfinite(loss):
+            finite = np.isfinite(loss) and all(
+                np.isfinite(d).all() for g in acc for d in g.values())
+            if not finite:
                 raise TrainingDiverged(iteration, loss)
             scale = config.learning_rate / len(batch)
             net.apply_gradients(acc, scale)

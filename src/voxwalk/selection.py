@@ -102,14 +102,6 @@ def node_energies(maps):
     return energy
 
 
-def node_energy(maps, voxel):
-    """Energy of a single voxel; `voxel` is a flat index or (d,h,w) triple."""
-    e = node_energies(maps)
-    if np.isscalar(voxel):
-        return float(e.reshape(-1)[voxel])
-    return float(e[tuple(voxel)])
-
-
 def select(maps, theta, keep_energies=False):
     """Prune the floor(|V| * theta) highest-energy voxels as confident.
 

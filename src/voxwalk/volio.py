@@ -71,9 +71,12 @@ def read_volume(path, expect_kind=None):
     Returns (data as float64 [D,H,W], meta dict).  Payload length, dtype,
     ordering and value ranges are validated.
     """
-    with open(sidecar_path(path), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    dims = tuple(int(s) for s in meta["dims"])
+    try:
+        with open(sidecar_path(path), "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        dims = tuple(int(s) for s in meta["dims"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed sidecar ({exc!r})") from None
     if meta.get("dtype") != "f32" or meta.get("order") != "row-major":
         raise ValueError(f"{path}: unsupported dtype/order in sidecar {meta}")
     kind = meta.get("kind")

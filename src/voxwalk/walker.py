@@ -182,7 +182,7 @@ def build_system(graph):
 
     A is symmetric, has nonpositive off-diagonals and is strictly diagonally
     dominant with positive diagonal (an M-matrix, hence SPD); violations
-    raise AssertionError.
+    raise ValueError.
     """
     n = graph.n_candidates
     w2_unary = (graph.unary_fg ** 2 + graph.unary_bg ** 2).sum(axis=1)
@@ -207,11 +207,14 @@ def build_system(graph):
         vals = diag
     a = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     asym = abs(a - a.T)
-    assert asym.nnz == 0 or asym.max() == 0.0, "system matrix must be symmetric"
+    if asym.nnz and asym.max() != 0.0:
+        raise ValueError("walker system matrix must be symmetric")
     off = a - sparse.diags(a.diagonal())
-    assert off.nnz == 0 or off.max() <= 0.0, "off-diagonals must be nonpositive"
+    if off.nnz and off.max() > 0.0:
+        raise ValueError("walker system off-diagonals must be nonpositive")
     row_off = np.asarray(np.abs(off).sum(axis=1)).reshape(-1)
-    assert np.all(a.diagonal() - row_off > 0), "diagonal must strictly dominate"
+    if not np.all(a.diagonal() - row_off > 0):
+        raise ValueError("walker system diagonal must strictly dominate its rows")
     return a, rhs
 
 
@@ -259,8 +262,9 @@ def solve(graph, tol=1e-8, max_iters=None):
         max_iters = 10 * n
     a, b = build_system(graph)
     x, iterations, residual = _pcg(a, b, a.diagonal(), tol, max_iters)
-    assert x.min() >= -1e-5 and x.max() <= 1.0 + 1e-5, (
-        f"maximum principle violated: x in [{x.min()}, {x.max()}]")
+    if not (x.min() >= -1e-5 and x.max() <= 1.0 + 1e-5):
+        raise ValueError(
+            f"maximum principle violated at tol {tol:.3e}: x in [{x.min()}, {x.max()}]")
     x = np.clip(x, 0.0, 1.0)
     labels = (x >= 0.5).astype(np.uint8)
     return WalkerSolution(x, labels, iterations, residual)

@@ -1,0 +1,68 @@
+"""The command-line contract: exit 0 with results on stdout and logs on
+stderr, exit 1 with one `voxwalk: error:` line, exit 2 on usage errors."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from voxwalk.volio import sidecar_path, write_volume
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "voxwalk.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def assert_one_error_line(out):
+    assert out.returncode == 1
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("voxwalk: error:"), out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.fixture
+def labels(tmp_path):
+    a, b = tmp_path / "a.raw", tmp_path / "b.raw"
+    write_volume(a, np.array([1, 1, 0, 0, 1, 0, 0, 0], float).reshape(2, 2, 2), "label")
+    write_volume(b, np.array([1, 0, 0, 0, 1, 1, 0, 0], float).reshape(2, 2, 2), "label")
+    return a, b
+
+
+def test_success_writes_results_to_stdout_and_logs_to_stderr(tmp_path, labels):
+    out = run_cli("synth", "--dims", 8, 8, 8, "--out-intensity", tmp_path / "i.raw",
+                  "--out-label", tmp_path / "l.raw")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("synth: wrote")
+    out = run_cli("dice", *labels)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{2 * 2 / 6:.6f}\n"
+    assert out.stderr == ""
+
+
+def test_missing_file_exits_1(tmp_path, labels):
+    assert_one_error_line(run_cli("dice", labels[0], tmp_path / "absent.raw"))
+
+
+@pytest.mark.parametrize("sidecar", ['{"dtype": "f32"}', "[1, 2]"])
+def test_malformed_sidecar_exits_1(labels, sidecar):
+    Path(sidecar_path(labels[1])).write_text(sidecar)
+    out = run_cli("dice", *labels)
+    assert_one_error_line(out)
+    assert str(labels[1]) in out.stderr
+
+
+def test_usage_error_exits_2(labels):
+    out = run_cli("dice", labels[0])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: voxwalk dice")

@@ -3,9 +3,8 @@ import pytest
 
 from voxwalk.convops import conv3d_backward, conv3d_forward
 from voxwalk.gradcheck import grad_check
-from voxwalk.lstm import ConvLSTMState, convlstm_step_backward, convlstm_step_forward
 
-from test_lstm import LSTM_FIELDS, random_convlstm_params
+from test_lstm import random_unit
 
 
 def test_linear_map_is_exact_to_roundoff():
@@ -77,22 +76,22 @@ def test_convlstm_step_gradient_every_parameter_tensor():
     for _ in range(5):
         # moderate parameter scale keeps the gates away from saturation where
         # central differences pick up curvature noise
-        params = random_convlstm_params(rng, n, m, k, scale=0.5)
-        x = rng.normal(size=(m, 3, 3))
-        state = ConvLSTMState(rng.normal(size=(n, 3, 3)), rng.normal(size=(n, 3, 3)))
-        rh = rng.normal(size=(n, 3, 3))
-        rc = rng.normal(size=(n, 3, 3))
-        for name in LSTM_FIELDS:
-            base = getattr(params, name).copy()
+        unit = random_unit(rng, n, m, k, scale=0.5)
+        x = rng.normal(size=(m, 3, 3, 3))  # 3 steps: gradients cross both recurrences
+        r = rng.normal(size=(n, 3, 3, 3))
+        for key in unit.keys:
+            param = getattr(unit, key)
+            for gate in range(4):
+                rows = slice(gate * n, (gate + 1) * n)
+                base = param[rows].copy()
 
-            def f(p):
-                getattr(params, name)[...] = p
-                out, cache = convlstm_step_forward(x, state, params)
-                value = float((out.h * rh).sum() + (out.c * rc).sum())
-                _, _, _, grads = convlstm_step_backward(rh, rc, cache)
-                getattr(params, name)[...] = base
-                return value, grads[name]
+                def f(p):
+                    param[rows] = p
+                    out, cache = unit.forward(x)
+                    _, grads = unit.backward(r, cache)
+                    param[rows] = base
+                    return float((out * r).sum()), grads[key][rows]
 
-            direction = rng.normal(size=base.shape)
-            direction /= np.linalg.norm(direction)
-            assert grad_check(f, base, direction, 1e-4) <= 1e-5, name
+                direction = rng.normal(size=base.shape)
+                direction /= np.linalg.norm(direction)
+                assert grad_check(f, base, direction, 1e-4) <= 1e-5, (key, gate)

@@ -1,219 +1,163 @@
+"""ConvLSTMUnit and the gate math against the loop oracles.
+
+The unit starts every sequence from a zero state, so the oracles are
+chained step by step from zeros over the same sequence.
+"""
+
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from voxwalk.lstm import (
-    ConvLSTMParams,
-    ConvLSTMState,
-    LSTMParams,
-    convlstm_step,
-    convlstm_step_backward,
-    convlstm_step_forward,
-    lstm_step,
-    lstm_step_backward,
-    lstm_step_forward,
-)
+from voxwalk.lstm import gate_math_forward
+from voxwalk.network import ConvLSTMUnit
 
 from oracles import convlstm_oracle, lstm_oracle, numeric_grad
 
-LSTM_FIELDS = ("w_xi", "w_xf", "w_xc", "w_xo", "w_hi", "w_hf", "w_hc", "w_ho",
-               "b_i", "b_f", "b_c", "b_o")
+
+def gate_views(unit, tap=None):
+    """Per-gate views of a unit's stacked weights under the oracles' field
+    names; tap=j keeps only kernel tap (j,j), as [n,m] matrices."""
+    n = unit.b.shape[0] // 4
+    taps = () if tap is None else (tap, tap)
+    views = {}
+    for g, gate in enumerate("ifco"):
+        rows = (slice(g * n, (g + 1) * n), slice(None)) + taps
+        views.update({f"w_x{gate}": unit.wx[rows], f"w_h{gate}": unit.wh[rows],
+                      f"b_{gate}": unit.b[rows[0]]})
+    return SimpleNamespace(**views)
 
 
-def random_lstm_params(rng, n, m, scale=1.0):
-    return LSTMParams(
-        **{f"w_x{g}": scale * rng.normal(size=(n, m)) for g in "ifco"},
-        **{f"w_h{g}": scale * rng.normal(size=(n, n)) for g in "ifco"},
-        **{f"b_{g}": scale * rng.normal(size=n) for g in "ifco"},
-    )
+def random_unit(rng, n, m, k, scale=1.0):
+    """ConvLSTMUnit (m -> n maps, k x k kernels) with normal weights and biases."""
+    unit = ConvLSTMUnit(m, n, k, rng)
+    for key in unit.keys:
+        arr = getattr(unit, key)
+        arr[...] = scale * rng.normal(size=arr.shape)
+    return unit
 
 
-def random_convlstm_params(rng, n, m, k, scale=1.0):
-    return ConvLSTMParams(
-        **{f"w_x{g}": scale * rng.normal(size=(n, m, k, k)) for g in "ifco"},
-        **{f"w_h{g}": scale * rng.normal(size=(n, n, k, k)) for g in "ifco"},
-        **{f"b_{g}": scale * rng.normal(size=n) for g in "ifco"},
-    )
+def chained_oracle(oracle, params, xs):
+    """Hidden states of `oracle` run over the [m,...] steps xs from zero state."""
+    h = np.zeros((len(params.b_i),) + xs[0].shape[1:])
+    c = np.zeros_like(h)
+    hs = []
+    for x in xs:
+        h, c = oracle(x, h, c, params)
+        hs.append(h)
+    return hs
 
 
 def test_lstm_zero_parameters_give_zero_state():
-    params = random_lstm_params(np.random.default_rng(0), 3, 2, scale=0.0)
-    h, c = lstm_step(np.ones(2), np.zeros(3), np.zeros(3), params)
-    assert np.array_equal(h, np.zeros(3))
-    assert np.array_equal(c, np.zeros(3))
+    unit = random_unit(np.random.default_rng(0), 3, 2, 1, scale=0.0)
+    out, _ = unit.forward(np.ones((2, 3, 1, 1)))
+    assert np.array_equal(out, np.zeros((3, 3, 1, 1)))
+
+
+def test_convlstm_zero_parameters_zero_state():
+    unit = random_unit(np.random.default_rng(0), 2, 1, 3, scale=0.0)
+    out, _ = unit.forward(np.ones((1, 3, 4, 4)))
+    assert np.array_equal(out, np.zeros((2, 3, 4, 4)))
 
 
 def test_lstm_saturated_forget_gate_keeps_cell():
     rng = np.random.default_rng(1)
-    params = random_lstm_params(rng, 3, 2, scale=0.0)
-    params.b_f[:] = 40.0  # forget gate ~ 1
+    z = np.zeros(12)
+    z[3:6] = 40.0  # forget gate ~ 1; input, cell and output pre-activations 0
     c_prev = rng.normal(size=3)
-    _, c = lstm_step(rng.normal(size=2), np.zeros(3), c_prev, params)
+    _, c, _ = gate_math_forward(z, c_prev)
     assert np.allclose(c, c_prev, atol=1e-12)
 
 
 def test_lstm_gates_stay_in_open_unit_interval():
-    from scipy.special import expit
-
     rng = np.random.default_rng(2)
     for _ in range(20):
-        params = random_lstm_params(rng, 4, 3, scale=3.0)
-        x = rng.normal(size=3)
-        h_prev = rng.normal(size=4)
-        i = expit(params.w_xi @ x + params.w_hi @ h_prev + params.b_i)
-        f = expit(params.w_xf @ x + params.w_hf @ h_prev + params.b_f)
-        o = expit(params.w_xo @ x + params.w_ho @ h_prev + params.b_o)
+        z = rng.normal(scale=6.0, size=(16, 3, 3))
+        _, _, (i, f, _, o, _, _) = gate_math_forward(z, rng.normal(size=(4, 3, 3)))
         for gate in (i, f, o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
-
-
-def test_lstm_matches_scalar_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = rng.integers(1, 5)
-        m = rng.integers(1, 5)
-        params = random_lstm_params(rng, n, m)
-        x = rng.normal(size=m)
-        h_prev = rng.normal(size=n)
-        c_prev = rng.normal(size=n)
-        h, c = lstm_step(x, h_prev, c_prev, params)
-        h0, c0 = lstm_oracle(x, h_prev, c_prev, params)
-        assert np.allclose(h, h0, rtol=1e-12, atol=1e-14)
-        assert np.allclose(c, c0, rtol=1e-12, atol=1e-14)
-
-
-def test_lstm_dimension_mismatch_rejected():
-    params = random_lstm_params(np.random.default_rng(0), 3, 2)
-    with pytest.raises(ValueError, match="input length"):
-        lstm_step(np.zeros(4), np.zeros(3), np.zeros(3), params)
-    with pytest.raises(ValueError, match="state length"):
-        lstm_step(np.zeros(2), np.zeros(4), np.zeros(3), params)
-
-
-def test_lstm_param_shape_validation():
-    rng = np.random.default_rng(0)
-    kw = {f"w_x{g}": rng.normal(size=(3, 2)) for g in "ifco"}
-    kw.update({f"w_h{g}": rng.normal(size=(3, 3)) for g in "ifco"})
-    kw.update({f"b_{g}": rng.normal(size=3) for g in "ifco"})
-    bad = dict(kw)
-    bad["w_hi"] = rng.normal(size=(3, 2))
-    with pytest.raises(ValueError, match="share one shape"):
-        LSTMParams(**bad)
-    bad = dict(kw)
-    bad["b_c"] = rng.normal(size=4)
-    with pytest.raises(ValueError, match="length"):
-        LSTMParams(**bad)
-
-
-def test_lstm_backward_matches_numeric():
-    rng = np.random.default_rng(4)
-    n, m = 3, 2
-    params = random_lstm_params(rng, n, m)
-    x = rng.normal(size=m)
-    h_prev = rng.normal(size=n)
-    c_prev = rng.normal(size=n)
-    rh = rng.normal(size=n)
-    rc = rng.normal(size=n)
-
-    def run():
-        h, c = lstm_step(x, h_prev, c_prev, params)
-        return float(h @ rh + c @ rc)
-
-    h, c, cache = lstm_step_forward(x, h_prev, c_prev, params)
-    dx, dh_prev, dc_prev, grads = lstm_step_backward(rh, rc, cache)
-    assert np.allclose(dx, numeric_grad(run, x), atol=1e-8)
-    assert np.allclose(dh_prev, numeric_grad(run, h_prev), atol=1e-8)
-    assert np.allclose(dc_prev, numeric_grad(run, c_prev), atol=1e-8)
-    for name in LSTM_FIELDS:
-        assert np.allclose(grads[name], numeric_grad(run, getattr(params, name)),
-                           atol=1e-8), name
-
-
-def test_convlstm_zero_parameters_zero_state():
-    params = random_convlstm_params(np.random.default_rng(0), 2, 1, 3, scale=0.0)
-    state = ConvLSTMState.zeros(2, 4, 4)
-    out = convlstm_step(np.ones((1, 4, 4)), state, params)
-    assert np.array_equal(out.h, np.zeros((2, 4, 4)))
-
-
-def test_convlstm_matches_loop_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(15):
-        n = rng.integers(1, 4)
-        m = rng.integers(1, 4)
-        k = rng.choice([1, 3])
-        hh, ww = rng.integers(2, 5, size=2)
-        params = random_convlstm_params(rng, n, m, k)
-        x = rng.normal(size=(m, hh, ww))
-        state = ConvLSTMState(rng.normal(size=(n, hh, ww)), rng.normal(size=(n, hh, ww)))
-        out = convlstm_step(x, state, params)
-        h0, c0 = convlstm_oracle(x, state.h, state.c, params)
-        assert np.allclose(out.h, h0, rtol=1e-12, atol=1e-14)
-        assert np.allclose(out.c, c0, rtol=1e-12, atol=1e-14)
-
-
-def test_convlstm_degenerates_to_lstm_at_unit_extent():
-    rng = np.random.default_rng(6)
-    for _ in range(25):
-        n = rng.integers(1, 5)
-        m = rng.integers(1, 5)
-        cp = random_convlstm_params(rng, n, m, 1)
-        fc = LSTMParams(**{name: getattr(cp, name).reshape(
-            getattr(cp, name).shape[:2]) if name.startswith("w") else getattr(cp, name)
-            for name in LSTM_FIELDS})
-        x = rng.normal(size=m)
-        h_prev = rng.normal(size=n)
-        c_prev = rng.normal(size=n)
-        out = convlstm_step(
-            x.reshape(m, 1, 1),
-            ConvLSTMState(h_prev.reshape(n, 1, 1), c_prev.reshape(n, 1, 1)), cp)
-        h, c = lstm_step(x, h_prev, c_prev, fc)
-        assert np.allclose(out.h.reshape(-1), h, rtol=1e-12, atol=1e-15)
-        assert np.allclose(out.c.reshape(-1), c, rtol=1e-12, atol=1e-15)
 
 
 def test_convlstm_cell_growth_bounded():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        params = random_convlstm_params(rng, 2, 2, 3, scale=4.0)
-        x = rng.normal(size=(2, 3, 3)) * 5
-        state = ConvLSTMState(rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3, 3)))
-        out = convlstm_step(x, state, params)
-        assert np.all(np.abs(out.c) <= np.abs(state.c) + 1.0 + 1e-12)
+        z = rng.normal(scale=20.0, size=(8, 3, 3))
+        c_prev = rng.normal(size=(2, 3, 3))
+        _, c, _ = gate_math_forward(z, c_prev)
+        assert np.all(np.abs(c) <= np.abs(c_prev) + 1.0 + 1e-12)
+
+
+def test_convlstm_matches_loop_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(15):
+        n, m, length = rng.integers(1, 4), rng.integers(1, 4), rng.integers(3, 5)
+        k = rng.choice([1, 3])
+        hh, ww = rng.integers(2, 5, size=2)
+        unit = random_unit(rng, n, m, k)
+        x = rng.normal(size=(m, length, hh, ww))
+        out, _ = unit.forward(x)
+        hs = chained_oracle(convlstm_oracle, gate_views(unit), list(np.moveaxis(x, 1, 0)))
+        for t, h0 in enumerate(hs):
+            assert np.allclose(out[:, t], h0, rtol=1e-12, atol=1e-14)
+
+
+def test_lstm_matches_scalar_oracle():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n, m, length = rng.integers(1, 5), rng.integers(1, 5), rng.integers(3, 5)
+        unit = random_unit(rng, n, m, 1)
+        x = rng.normal(size=(m, length))
+        out, _ = unit.forward(x[:, :, None, None])
+        hs = chained_oracle(lstm_oracle, gate_views(unit, tap=0), list(x.T))
+        for t, h0 in enumerate(hs):
+            assert np.allclose(out[:, t, 0, 0], h0, rtol=1e-12, atol=1e-14)
+
+
+def test_convlstm_degenerates_to_lstm_at_unit_extent():
+    # on a 1x1 extent 'same' padding leaves only the centre tap of a 3x3 kernel
+    rng = np.random.default_rng(6)
+    for _ in range(25):
+        n, m, length = rng.integers(1, 5), rng.integers(1, 5), rng.integers(3, 5)
+        unit = random_unit(rng, n, m, 3)
+        x = rng.normal(size=(m, length))
+        out, _ = unit.forward(x[:, :, None, None])
+        hs = chained_oracle(lstm_oracle, gate_views(unit, tap=1), list(x.T))
+        for t, h0 in enumerate(hs):
+            assert np.allclose(out[:, t, 0, 0], h0, rtol=1e-12, atol=1e-15)
+
+
+def test_lstm_dimension_mismatch_rejected():
+    unit = random_unit(np.random.default_rng(0), 3, 2, 1)
+    with pytest.raises(ValueError, match=r"\[m,L,H,W\]"):
+        unit.forward(np.zeros((2, 3)))
 
 
 def test_convlstm_map_count_mismatch_rejected():
-    params = random_convlstm_params(np.random.default_rng(0), 2, 3, 3)
-    state = ConvLSTMState.zeros(2, 4, 4)
+    unit = random_unit(np.random.default_rng(0), 2, 3, 3)
     with pytest.raises(ValueError, match="feature maps"):
-        convlstm_step(np.zeros((1, 4, 4)), state, params)
-    with pytest.raises(ValueError, match="feature maps"):
-        convlstm_step(np.zeros((3, 4, 4)), ConvLSTMState.zeros(5, 4, 4), params)
+        unit.forward(np.zeros((1, 3, 4, 4)))
 
 
-def test_convlstm_state_shape_validation():
-    with pytest.raises(ValueError, match="share shape"):
-        ConvLSTMState(np.zeros((2, 3, 3)), np.zeros((2, 4, 3)))
+def check_unit_backward(rng, n, m, k, extent, atol):
+    """dx and every parameter gradient of a length-3 scan against numeric_grad."""
+    unit = random_unit(rng, n, m, k)
+    x = rng.normal(size=(m, 3) + extent)
+    r = rng.normal(size=(n, 3) + extent)
+
+    def run():
+        out, _ = unit.forward(x)
+        return float((out * r).sum())
+
+    _, cache = unit.forward(x)
+    dx, grads = unit.backward(r, cache)
+    assert np.allclose(dx, numeric_grad(run, x), atol=atol)
+    for key in unit.keys:
+        assert np.allclose(grads[key], numeric_grad(run, getattr(unit, key)), atol=atol), key
+
+
+def test_lstm_backward_matches_numeric():
+    check_unit_backward(np.random.default_rng(4), 3, 2, 1, (1, 1), atol=1e-8)
 
 
 def test_convlstm_backward_matches_numeric():
-    rng = np.random.default_rng(8)
-    n, m, k = 2, 2, 3
-    params = random_convlstm_params(rng, n, m, k)
-    x = rng.normal(size=(m, 3, 4))
-    h_prev = rng.normal(size=(n, 3, 4))
-    c_prev = rng.normal(size=(n, 3, 4))
-    rh = rng.normal(size=(n, 3, 4))
-    rc = rng.normal(size=(n, 3, 4))
-
-    def run():
-        out = convlstm_step(x, ConvLSTMState(h_prev, c_prev), params)
-        return float((out.h * rh).sum() + (out.c * rc).sum())
-
-    _, cache = convlstm_step_forward(x, ConvLSTMState(h_prev, c_prev), params)
-    dx, dh_prev, dc_prev, grads = convlstm_step_backward(rh, rc, cache)
-    assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
-    assert np.allclose(dh_prev, numeric_grad(run, h_prev), atol=1e-7)
-    assert np.allclose(dc_prev, numeric_grad(run, c_prev), atol=1e-7)
-    for name in LSTM_FIELDS:
-        assert np.allclose(grads[name], numeric_grad(run, getattr(params, name)),
-                           atol=1e-7), name
+    check_unit_backward(np.random.default_rng(8), 2, 2, 3, (3, 4), atol=1e-7)

@@ -9,7 +9,6 @@ from voxwalk.selection import (
     confidence,
     consistency,
     node_energies,
-    node_energy,
     select,
 )
 
@@ -41,18 +40,18 @@ def test_consistency_examples():
 def test_node_energy_single_map_all_foreground():
     maps = np.ones((1, 3, 3, 3))
     center = (1, 1, 1)
-    assert math.isclose(node_energy(maps, center), 7.0, rel_tol=1e-12)
+    assert math.isclose(node_energies(maps)[center], 7.0, rel_tol=1e-12)
 
 
 def test_node_energy_two_uniform_maps():
     maps = np.full((2, 3, 3, 3), 0.5)
-    assert math.isclose(node_energy(maps, (1, 1, 1)), 14.0, rel_tol=1e-12)
+    assert math.isclose(node_energies(maps)[1, 1, 1], 14.0, rel_tol=1e-12)
 
 
 def test_corner_voxel_has_three_lattice_neighbors():
     maps = np.ones((1, 3, 3, 3))
     # corner: confidence 1 + 3 in-bounds neighbors at cosine 1
-    assert math.isclose(node_energy(maps, (0, 0, 0)), 4.0, rel_tol=1e-12)
+    assert math.isclose(node_energies(maps)[0, 0, 0], 4.0, rel_tol=1e-12)
 
 
 def test_node_energies_match_loop_oracle():

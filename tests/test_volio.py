@@ -40,6 +40,16 @@ def test_payload_length_validated(tmp_path):
         read_volume(path)
 
 
+@pytest.mark.parametrize("sidecar", ['{"dtype": "f32"}', "[1, 2]", '{"dims": 8}', "{"])
+def test_malformed_sidecar_names_path(tmp_path, sidecar):
+    path = tmp_path / "v.raw"
+    write_volume(path, np.zeros((2, 2, 2)), "intensity")
+    (tmp_path / sidecar_path("v.raw")).write_text(sidecar)
+    with pytest.raises(ValueError, match="malformed sidecar") as info:
+        read_volume(path)
+    assert str(path) in str(info.value)
+
+
 def test_kind_constraints_enforced(tmp_path):
     with pytest.raises(ValueError, match=r"\[0,1\]"):
         write_volume(tmp_path / "bad.raw", np.full((2, 2, 2), 1.5), "prob")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +157,60 @@ def test_solver_error_carries_residual():
     graph = single_candidate_graph(0.7)
     with pytest.raises(SolverError, match="residual"):
         solve(graph, tol=1e-16, max_iters=0)
+
+
+def zero_prior_edge_graph():
+    """Two candidates joined by one full-weight edge and no prior at all: the
+    system is singular, so the diagonal dominance check must fail."""
+    return CompactGraph(
+        dims=(2, 1, 1),
+        candidates=np.arange(2),
+        edges=np.array([[0, 1]]),
+        edge_weights=np.ones(1),
+        unary_fg=np.zeros((2, 1)),
+        unary_bg=np.zeros((2, 1)),
+    )
+
+
+def test_singular_system_rejected():
+    with pytest.raises(ValueError, match="dominate"):
+        build_system(zero_prior_edge_graph())
+    with pytest.raises(ValueError, match="dominate"):
+        solve(zero_prior_edge_graph())
+
+
+def test_loose_tolerance_breaking_maximum_principle_rejected():
+    # one Jacobi-preconditioned CG step overshoots 1 on this chain
+    p = np.array([[0.91], [0.61], [0.73]])
+    graph = CompactGraph(
+        dims=(3, 1, 1),
+        candidates=np.arange(3),
+        edges=np.array([[0, 1], [1, 2]]),
+        edge_weights=np.array([0.54, 0.94]),
+        unary_fg=p,
+        unary_bg=1.0 - p,
+    )
+    assert solve(graph, tol=1e-12).x.max() < 1.0
+    with pytest.raises(ValueError, match="maximum principle"):
+        solve(graph, tol=0.5)
+
+
+def test_system_checks_survive_python_optimize():
+    code = (
+        "import sys\n"
+        "from test_walker import zero_prior_edge_graph\n"
+        "from voxwalk.walker import solve\n"
+        "try:\n"
+        "    solve(zero_prior_edge_graph())\n"
+        "except ValueError:\n"
+        "    sys.exit(10 + sys.flags.optimize)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 11, out.stderr
 
 
 def test_empty_candidate_set_is_noop():

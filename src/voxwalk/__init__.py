@@ -1,12 +1,7 @@
 """voxwalk: randomized-connection 3D segmentation networks fused by
 graph-based node selection and random-walker label inference."""
 
-from .convops import (
-    Conv3DParams,
-    conv3d,
-    pool3d,
-    upsample,
-)
+from .convops import upsample
 from .gradcheck import grad_check
 from .network import (
     NetworkSpec,

@@ -24,12 +24,13 @@ class PipelineConfig:
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0,1], got {self.theta}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.solver_tol <= 0:
-            raise ValueError(f"solver_tol must be > 0, got {self.solver_tol}")
+        # written as negations so that NaN, which fails every comparison, is rejected
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0 < self.solver_tol < np.inf:
+            raise ValueError(f"solver_tol must be finite and > 0, got {self.solver_tol}")
         self.seeds = {str(k): int(v) for k, v in self.seeds.items()}
 
     def to_json(self):

@@ -3,19 +3,30 @@
 Everything works on plain numpy arrays in channels-first layout
 ([maps, depth, height, width] for volumes).  Each trainable op comes as a
 forward/backward pair so the network code can run reverse-mode training
-without an autograd framework.  Operations are pure functions of their
-inputs and compute in numpy's promoted dtype of their arguments.  The
+without an autograd framework.
+
+Every convolution runs through one im2col + GEMM kernel (Chellapilla et
+al., 2006): the input windows of a slab of output-depth planes are copied,
+kernel tap by kernel tap, into a [maps·d·k·k, voxels] column matrix, and one
+BLAS matmul per slab gives the output (W @ cols), the weight gradient
+(G @ colsᵀ) or the column gradient (Wᵀ @ G, added back into the input one
+tap at a time).  The slab is as many planes as fit in `_SLAB_BYTES`, so the
+column buffer stays bounded whatever the volume size.  conv2d is the same
+kernel at depth 1.
+
+Operations compute in numpy's promoted dtype of their arguments.  The
 network casts its input volumes to float64 and draws float64 weights, so
-training and inference run in float64.
+training and inference run in float64.  Moving the network to float32
+would cut the GEMM and copy cost further, but it changes every trained
+weight, and a pinned checkpoint digest fixes the float64 bytes, so it is a
+separate change.
 """
 
 import numpy as np
-from dataclasses import dataclass
-from numpy.lib.stride_tricks import sliding_window_view
 
-
-def relu(x):
-    return np.maximum(x, 0.0)
+# upper bound on the bytes of one im2col column buffer; a slab holds as
+# many output-depth planes as fit, and at least one
+_SLAB_BYTES = 8 << 20
 
 
 def _as_triple(v):
@@ -25,34 +36,6 @@ def _as_triple(v):
     if len(t) != 3:
         raise ValueError(f"expected 3 stride entries, got {v!r}")
     return t
-
-
-@dataclass
-class Conv3DParams:
-    """Weights/bias of one 3D convolution.
-
-    weights: [out_maps, in_maps, t_extent, k, k]
-    bias:    [out_maps]
-    stride:  positive step per spatial axis (depth, height, width)
-    """
-
-    weights: np.ndarray
-    bias: np.ndarray
-    stride: tuple = (1, 1, 1)
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights)
-        self.bias = np.asarray(self.bias)
-        self.stride = _as_triple(self.stride)
-        if self.weights.ndim != 5:
-            raise ValueError(
-                f"conv3d weights must be 5-D [n,m,d,k,k], got shape {self.weights.shape}")
-        if self.bias.ndim != 1 or self.bias.shape[0] != self.weights.shape[0]:
-            raise ValueError(
-                f"bias shape {self.bias.shape} does not match {self.weights.shape[0]} "
-                "output maps (one pair per output feature map)")
-        if any(s < 1 for s in self.stride):
-            raise ValueError(f"stride entries must be positive, got {self.stride}")
 
 
 def _same_pad(k):
@@ -73,11 +56,40 @@ def _pad_spatial(x, kernel_extents, padding, spatial_axes):
     return np.pad(x, pads), pads
 
 
+def _slabs(xp, kext, stride, out_shape, dtype):
+    """im2col, one slab of output-depth planes at a time.
+
+    Yields (vox, cols, taps) per slab: `vox` slices the slab's voxels out of
+    the flattened output, `cols` [m·d·kh·kw, voxels] holds their input
+    windows, and `taps` pairs each kernel tap's block of `cols` with the
+    window of `xp` it was copied from.  One buffer of at most
+    `_SLAB_BYTES` (or one plane) is refilled for every slab.
+    """
+    m = xp.shape[0]
+    do, ho, wo = out_shape
+    sd, sh, sw = stride
+    rows, plane = m * int(np.prod(kext)), ho * wo
+    per = max(1, min(do, _SLAB_BYTES // max(1, rows * plane * np.dtype(dtype).itemsize)))
+    buf = np.empty(rows * plane * per, dtype=dtype)
+    for z0 in range(0, do, per):
+        z1 = min(do, z0 + per)
+        cols = buf[:rows * plane * (z1 - z0)].reshape((m,) + kext + (z1 - z0, ho, wo))
+        taps = [(cols[:, i, j, l], (slice(None),
+                                    slice(sd * z0 + i, sd * (z1 - 1) + i + 1, sd),
+                                    slice(j, j + sh * (ho - 1) + 1, sh),
+                                    slice(l, l + sw * (wo - 1) + 1, sw)))
+                for i, j, l in np.ndindex(*kext)]
+        for block, win in taps:
+            block[...] = xp[win]
+        yield slice(z0 * plane, z1 * plane), cols.reshape(rows, -1), taps
+
+
 def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
     """Cross-correlate a [m,D,H,W] volume with [n,m,d,k,k] kernels.
 
-    Returns the pre-activation output [n,D',H',W'] together with the padded
-    input (needed by :func:`conv3d_backward`) and the pad amounts.
+    bias is [n], or None for no bias.  Returns the pre-activation output
+    [n,D',H',W'] together with the padded input (needed by
+    :func:`conv3d_backward`) and the pad amounts.
     """
     x = np.asarray(x)
     weights = np.asarray(weights)
@@ -89,18 +101,31 @@ def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
         raise ValueError(
             f"input has {x.shape[0]} feature maps but weights {weights.shape} "
             f"expect {weights.shape[1]}")
+    if bias is not None:
+        bias = np.asarray(bias)
+        if bias.shape != weights.shape[:1]:
+            raise ValueError(
+                f"bias shape {bias.shape} does not match {weights.shape[0]} "
+                "output maps (one pair per output feature map)")
     stride = _as_triple(stride)
+    if any(s < 1 for s in stride):
+        raise ValueError(f"stride entries must be positive, got {stride}")
     kext = weights.shape[2:]
     xp, pads = _pad_spatial(x, kext, padding, spatial_axes=(1, 2, 3))
     if any(xp.shape[1 + i] < kext[i] for i in range(3)):
         raise ValueError(
             f"kernel extents {kext} do not fit inside input extents {x.shape[1:]} "
             f"under {padding!r} padding")
-    win = sliding_window_view(xp, kext, axis=(1, 2, 3))
-    sd, sh, sw = stride
-    win = win[:, ::sd, ::sh, ::sw]
-    y = np.einsum("mopqijk,nmijk->nopq", win, weights, optimize=True)
-    y += np.asarray(bias)[:, None, None, None]
+    n = weights.shape[0]
+    out_shape = tuple((s - k) // st + 1 for s, k, st in zip(xp.shape[1:], kext, stride))
+    dtype = np.result_type(xp, weights)
+    w2 = weights.reshape(n, -1)
+    y = np.empty((n,) + out_shape, dtype=dtype)
+    y2 = y.reshape(n, -1)
+    for vox, cols, _ in _slabs(xp, kext, stride, out_shape, dtype):
+        np.matmul(w2, cols, out=y2[:, vox])
+    if bias is not None:
+        y += bias[:, None, None, None]
     return y, xp, pads
 
 
@@ -110,31 +135,20 @@ def conv3d_backward(grad, xp, weights, stride, pads):
     grad: [n,D',H',W'] gradient at the output; xp is the padded input kept
     from the forward pass.  Works for any positive stride.
     """
-    n, m, d, kh, kw = weights.shape
-    do, ho, wo = grad.shape[1:]
-    sd, sh, sw = _as_triple(stride)
-    dbias = grad.sum(axis=(1, 2, 3))
-    dweights = np.empty_like(weights)
-    dxp = np.zeros_like(xp)
-    for i in range(d):
-        for j in range(kh):
-            for l in range(kw):
-                patch = xp[:, i:i + sd * do:sd, j:j + sh * ho:sh, l:l + sw * wo:sw]
-                dweights[:, :, i, j, l] = np.einsum(
-                    "nopq,mopq->nm", grad, patch, optimize=True)
-                dxp[:, i:i + sd * do:sd, j:j + sh * ho:sh, l:l + sw * wo:sw] += np.einsum(
-                    "nopq,nm->mopq", grad, weights[:, :, i, j, l], optimize=True)
-    sl = tuple(slice(lo, dxp.shape[ax] - hi if hi else None)
-               for ax, (lo, hi) in enumerate(pads))
-    return dxp[sl], dweights, dbias
-
-
-def conv3d(x, params, activation="relu", padding="valid"):
-    """3D convolution with an optional ReLU, as used by the network units."""
-    if activation not in ("relu", "none"):
-        raise ValueError(f"activation must be 'relu' or 'none', got {activation!r}")
-    y, _, _ = conv3d_forward(x, params.weights, params.bias, params.stride, padding)
-    return relu(y) if activation == "relu" else y
+    n = weights.shape[0]
+    dtype = np.result_type(grad, xp, weights)
+    w2 = weights.reshape(n, -1)
+    g2 = grad.reshape(n, -1)
+    dw = np.zeros(w2.shape, dtype=dtype)
+    dxp = np.zeros(xp.shape, dtype=dtype)
+    for vox, cols, taps in _slabs(xp, weights.shape[2:], _as_triple(stride), grad.shape[1:], dtype):
+        g = g2[:, vox]
+        dw += g @ cols.T
+        np.matmul(w2.T, g, out=cols)  # the tap blocks now hold column gradients
+        for block, win in taps:
+            dxp[win] += block
+    dx = dxp[tuple(slice(lo, dxp.shape[ax] - hi) for ax, (lo, hi) in enumerate(pads))]
+    return dx, dw.reshape(weights.shape), grad.sum(axis=(1, 2, 3))
 
 
 def conv2d_forward(x, weights, bias=None, padding="same"):
@@ -144,45 +158,21 @@ def conv2d_forward(x, weights, bias=None, padding="same"):
     weights = np.asarray(weights)
     if x.ndim not in (3, 4):
         raise ValueError(f"conv2d input must be [m,H,W] or [m,L,H,W], got shape {x.shape}")
-    if x.shape[0] != weights.shape[1]:
-        raise ValueError(
-            f"input has {x.shape[0]} feature maps but weights {weights.shape} "
-            f"expect {weights.shape[1]}")
-    kext = weights.shape[2:]
-    axes = (x.ndim - 2, x.ndim - 1)
-    xp, pads = _pad_spatial(x, kext, padding, spatial_axes=axes)
-    win = sliding_window_view(xp, kext, axis=axes)
+    if weights.ndim != 4:
+        raise ValueError(f"conv2d weights must be 4-D [q,m,k,k], got shape {weights.shape}")
     if x.ndim == 3:
-        y = np.einsum("mhwij,qmij->qhw", win, weights, optimize=True)
-    else:
-        y = np.einsum("mlhwij,qmij->qlhw", win, weights, optimize=True)
-    if bias is not None:
-        y += np.asarray(bias).reshape((-1,) + (1,) * (x.ndim - 1))
-    return y, xp, pads
+        y, xp, pads = conv3d_forward(x[:, None], weights[:, :, None], bias, padding=padding)
+        return y[:, 0], xp[:, 0], [pads[0]] + pads[2:]
+    return conv3d_forward(x, weights[:, :, None], bias, padding=padding)
 
 
 def conv2d_backward(grad, xp, weights, pads, with_bias=True):
     """Gradients of conv2d_forward w.r.t. input, weights and bias."""
-    q, m, kh, kw = weights.shape
-    batched = grad.ndim == 4
-    ho, wo = grad.shape[-2:]
-    dbias = grad.sum(axis=tuple(range(1, grad.ndim))) if with_bias else None
-    dweights = np.empty_like(weights)
-    dxp = np.zeros_like(xp)
-    for j in range(kh):
-        for l in range(kw):
-            patch = xp[..., j:j + ho, l:l + wo]
-            if batched:
-                dweights[:, :, j, l] = np.einsum("qlhw,mlhw->qm", grad, patch, optimize=True)
-                dxp[..., j:j + ho, l:l + wo] += np.einsum(
-                    "qlhw,qm->mlhw", grad, weights[:, :, j, l], optimize=True)
-            else:
-                dweights[:, :, j, l] = np.einsum("qhw,mhw->qm", grad, patch, optimize=True)
-                dxp[..., j:j + ho, l:l + wo] += np.einsum(
-                    "qhw,qm->mhw", grad, weights[:, :, j, l], optimize=True)
-    sl = tuple(slice(lo, dxp.shape[ax] - hi if hi else None)
-               for ax, (lo, hi) in enumerate(pads))
-    return dxp[sl], dweights, dbias
+    single = grad.ndim == 3
+    if single:
+        grad, xp, pads = grad[:, None], xp[:, None], [pads[0], (0, 0)] + list(pads[1:])
+    dx, dweights, dbias = conv3d_backward(grad, xp, weights[:, :, None], (1, 1, 1), pads)
+    return (dx[:, 0] if single else dx), dweights[:, :, 0], (dbias if with_bias else None)
 
 
 def _check_window(x, window):
@@ -242,13 +232,6 @@ def pool3d_backward(grad, cache):
     inv = np.argsort(perm)
     gx = gflat.reshape(out + window).transpose(inv).reshape(shape)
     return gx
-
-
-def pool3d(x, window, mode):
-    """Spec-level pooling: shrinks pooled extents, leaves map count unchanged
-    when the map-axis window is 1."""
-    y, _ = pool3d_forward(x, window, mode)
-    return y
 
 
 def upsample(x, factor):

@@ -25,8 +25,12 @@ def as_prob_stack(maps):
             f"expected one or more [D,H,W] probability maps, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("at least one probability map is required")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError("probabilities must lie in [0,1]")
+    if arr.size:
+        lo, hi = arr.min(), arr.max()  # NaN propagates into both
+        if np.isnan(lo):
+            raise ValueError("probabilities must be finite, found NaN")
+        if lo < 0.0 or hi > 1.0:
+            raise ValueError("probabilities must lie in [0,1]")
     return arr
 
 

@@ -39,13 +39,18 @@ def _atomic_write(path, data):
         raise
 
 
-def _check_kind(data, kind):
+def _check_kind(data, kind, path):
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if kind == "prob" and data.size and (data.min() < 0.0 or data.max() > 1.0):
-        raise ValueError("prob volumes must have values in [0,1]")
-    if kind == "label" and not np.isin(data, (0.0, 1.0)).all():
-        raise ValueError("label volumes must contain only 0 and 1")
+    if kind == "label":
+        if not np.isin(data, (0.0, 1.0)).all():
+            raise ValueError(f"{path}: label volumes must contain only 0 and 1")
+    elif data.size:
+        lo, hi = data.min(), data.max()  # NaN and +-inf reach one of them
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"{path}: {kind} volume has non-finite values")
+        if kind == "prob" and (lo < 0.0 or hi > 1.0):
+            raise ValueError(f"{path}: prob volumes must have values in [0,1]")
 
 
 def write_volume(path, data, kind):
@@ -53,7 +58,7 @@ def write_volume(path, data, kind):
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 3:
         raise ValueError(f"expected a 3-D volume, got shape {data.shape}")
-    _check_kind(data, kind)
+    _check_kind(data, kind, path)
     payload = np.ascontiguousarray(data, dtype="<f4").tobytes()
     meta = {
         "dims": [int(s) for s in data.shape],
@@ -91,7 +96,7 @@ def read_volume(path, expect_kind=None):
         raise ValueError(
             f"{path}: payload is {len(payload)} bytes, dims {dims} require {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
-    _check_kind(data, kind)
+    _check_kind(data, kind, path)
     return data, meta
 
 

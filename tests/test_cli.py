@@ -66,3 +66,39 @@ def test_usage_error_exits_2(labels):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("usage: voxwalk dice")
+
+
+@pytest.fixture
+def scene(tmp_path):
+    """An 8³ intensity volume and two probability maps near its truth."""
+    out = run_cli("synth", "--dims", 8, 8, 8, "--out-intensity", tmp_path / "i.raw",
+                  "--out-label", tmp_path / "l.raw")
+    assert out.returncode == 0, out.stderr
+    truth = np.fromfile(tmp_path / "l.raw", dtype="<f4").reshape(8, 8, 8)
+    probs = []
+    for k, shift in enumerate((0.3, 0.2)):
+        path = tmp_path / f"p{k}.raw"
+        write_volume(path, np.clip(truth * 0.9 + shift * (1 - truth), 0, 1), "prob")
+        probs.append(path)
+    return tmp_path / "i.raw", probs
+
+
+@pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "inf"], ["--beta", "nan"]])
+def test_refine_rejects_non_finite_settings(tmp_path, scene, option):
+    intensity, probs = scene
+    out = run_cli("refine", "--probs", *probs, "--intensity", intensity,
+                  "--out", tmp_path / "o.raw", *option)
+    assert_one_error_line(out)
+    assert ("solver_tol" if option[0] == "--tol" else "beta") in out.stderr
+    assert not (tmp_path / "o.raw").exists()
+
+
+def test_refine_rejects_nan_probability_file(tmp_path, scene):
+    intensity, probs = scene
+    payload = bytearray(probs[1].read_bytes())
+    payload[8:12] = np.array([np.nan], dtype="<f4").tobytes()
+    probs[1].write_bytes(bytes(payload))
+    out = run_cli("refine", "--probs", *probs, "--intensity", intensity,
+                  "--out", tmp_path / "o.raw")
+    assert_one_error_line(out)
+    assert str(probs[1]) in out.stderr and "non-finite" in out.stderr

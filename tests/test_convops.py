@@ -1,27 +1,33 @@
 import numpy as np
 import pytest
 
+from voxwalk import convops
 from voxwalk.convops import (
-    Conv3DParams,
     conv2d_backward,
     conv2d_forward,
-    conv3d,
     conv3d_backward,
     conv3d_forward,
-    pool3d,
     pool3d_backward,
     pool3d_forward,
     upsample,
     upsample_backward,
 )
+from voxwalk.network import Conv3DLayer
 
 from oracles import conv3d_oracle, numeric_grad, pool_oracle, upsample_oracle
 
 
+def conv3d(x, w, b, stride=(1, 1, 1), padding="valid"):
+    return conv3d_forward(x, w, b, stride, padding)[0]
+
+
+def pool3d(x, window, mode):
+    return pool3d_forward(x, window, mode)[0]
+
+
 def test_conv3d_identity_kernel():
     x = np.ones((1, 3, 3, 3))
-    params = Conv3DParams(np.ones((1, 1, 1, 1, 1)), np.zeros(1))
-    y = conv3d(x, params, activation="relu", padding="valid")
+    y = conv3d(x, np.ones((1, 1, 1, 1, 1)), np.zeros(1))
     assert np.array_equal(y, x)
 
 
@@ -31,35 +37,55 @@ def test_conv3d_full_window_sums_to_27():
     b = np.zeros(1)
     expected = conv3d_oracle(x, w, b)
     assert expected.shape == (1, 1, 1, 1) and expected[0, 0, 0, 0] == 27.0
-    y = conv3d(x, Conv3DParams(w, b), activation="relu", padding="valid")
+    y = conv3d(x, w, b)
     assert np.allclose(y, expected, rtol=1e-12, atol=0)
 
 
 def test_conv3d_relu_clamps_negative_bias():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 4, 4, 4))
-    params = Conv3DParams(np.zeros((3, 2, 3, 3, 3)), -np.ones(3))
-    y = conv3d(x, params, activation="relu", padding="valid")
+    layer = Conv3DLayer(2, 3, 3, 3, rng, activation="relu")
+    layer.weights[...] = 0.0
+    layer.bias[...] = -1.0
+    y, _ = layer.forward(x)
+    assert y.shape == (3, 4, 4, 4)
     assert np.array_equal(y, np.zeros_like(y))
 
 
 def test_conv3d_shape_mismatch_diagnostic():
     x = np.zeros((2, 4, 4, 4))
-    params = Conv3DParams(np.zeros((1, 3, 1, 1, 1)), np.zeros(1))
     with pytest.raises(ValueError, match=r"2.*\(1, 3, 1, 1, 1\)"):
-        conv3d(x, params)
+        conv3d(x, np.zeros((1, 3, 1, 1, 1)), np.zeros(1))
 
 
 def test_conv3d_kernel_too_large_rejected():
     x = np.zeros((1, 2, 2, 2))
-    params = Conv3DParams(np.zeros((1, 1, 3, 3, 3)), np.zeros(1))
     with pytest.raises(ValueError, match="fit"):
-        conv3d(x, params, padding="valid")
+        conv3d(x, np.zeros((1, 1, 3, 3, 3)), np.zeros(1), padding="valid")
 
 
 def test_conv3d_bias_length_checked():
-    with pytest.raises(ValueError, match="output feature map"):
-        Conv3DParams(np.zeros((2, 1, 1, 1, 1)), np.zeros(3))
+    # a length-1 bias used to broadcast silently over every output map
+    for bias in (np.zeros(3), np.zeros(1), np.zeros((2, 1)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="output feature map"):
+            conv3d_forward(np.zeros((1, 2, 2, 2)), np.zeros((2, 1, 1, 1, 1)), bias)
+
+
+@pytest.mark.parametrize("stride", [(-1, 1, 1), (1, 0, 1), 0])
+def test_conv3d_stride_must_be_positive(stride):
+    # a negative stride used to return a wrong output of full shape
+    with pytest.raises(ValueError, match="positive"):
+        conv3d_forward(np.zeros((1, 4, 4, 4)), np.zeros((1, 1, 2, 2, 2)), np.zeros(1), stride)
+
+
+def test_conv3d_stride_needs_three_entries():
+    with pytest.raises(ValueError, match="3 stride entries"):
+        conv3d_forward(np.zeros((1, 4, 4, 4)), np.zeros((1, 1, 2, 2, 2)), np.zeros(1), (1, 1))
+
+
+def test_conv3d_weights_rank_checked():
+    with pytest.raises(ValueError, match="5-D"):
+        conv3d_forward(np.zeros((1, 4, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
 
 
 @pytest.mark.parametrize("padding", ["valid", "same"])
@@ -75,7 +101,7 @@ def test_conv3d_matches_loop_oracle(padding):
         x = rng.normal(size=(m, dd, hh, ww))
         w = rng.normal(size=(n, m, kd, kh, kw))
         b = rng.normal(size=n)
-        got = conv3d(x, Conv3DParams(w, b), activation="none", padding=padding)
+        got = conv3d(x, w, b, padding=padding)
         want = conv3d_oracle(x, w, b, padding=padding)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -86,14 +112,13 @@ def test_conv3d_stride_subsamples_unit_stride_output():
     w = rng.normal(size=(3, 2, 2, 2, 2))
     b = rng.normal(size=3)
     full = conv3d_oracle(x, w, b)
-    got = conv3d(x, Conv3DParams(w, b, stride=(2, 1, 3)), activation="none")
+    got = conv3d(x, w, b, stride=(2, 1, 3))
     assert np.allclose(got, full[:, ::2, ::1, ::3], rtol=1e-12)
 
 
 def test_conv3d_same_padding_preserves_extents():
     x = np.zeros((2, 4, 6, 5))
-    params = Conv3DParams(np.zeros((3, 2, 3, 3, 3)), np.zeros(3))
-    y = conv3d(x, params, padding="same")
+    y = conv3d(x, np.zeros((3, 2, 3, 3, 3)), np.zeros(3), padding="same")
     assert y.shape == (3, 4, 6, 5)
 
 
@@ -113,6 +138,64 @@ def test_conv3d_backward_matches_numeric():
     assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
     assert np.allclose(dw, numeric_grad(run, w), atol=1e-7)
     assert np.allclose(db, numeric_grad(run, b), atol=1e-7)
+
+
+@pytest.fixture
+def small_slabs(monkeypatch):
+    # a few hundred bytes per im2col buffer: every conv below spans several slabs
+    monkeypatch.setattr(convops, "_SLAB_BYTES", 300)
+
+
+@pytest.mark.parametrize("padding", ["valid", "same"])
+def test_conv3d_strided_multi_slab_matches_loop_oracle(small_slabs, padding):
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(2, 7, 6, 8))
+    w = rng.normal(size=(3, 2, 2, 3, 2))
+    b = rng.normal(size=3)
+    for stride in ((1, 1, 1), (2, 1, 3)):
+        full = conv3d_oracle(x, w, b, padding=padding)
+        got = conv3d(x, w, b, stride=stride, padding=padding)
+        assert got.shape[1] > 2  # more output planes than fit in one slab
+        assert np.allclose(got, full[:, ::stride[0], ::stride[1], ::stride[2]], rtol=1e-12)
+
+
+@pytest.mark.parametrize("padding", ["valid", "same"])
+def test_conv3d_strided_backward_matches_numeric(small_slabs, padding):
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(2, 7, 5, 7))
+    w = rng.normal(size=(3, 2, 3, 2, 2))
+    b = rng.normal(size=3)
+    stride = (2, 1, 3)
+    y, xp, pads = conv3d_forward(x, w, b, stride, padding)
+    r = rng.normal(size=y.shape)
+
+    def run():
+        y, _, _ = conv3d_forward(x, w, b, stride, padding)
+        return float((y * r).sum())
+
+    dx, dw, db = conv3d_backward(r, xp, w, stride, pads)
+    assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
+    assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
+    assert np.allclose(dw, numeric_grad(run, w), atol=1e-7)
+    assert np.allclose(db, numeric_grad(run, b), atol=1e-7)
+
+
+def test_conv_slab_size_does_not_change_results(monkeypatch):
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(3, 6, 5, 4))
+    w = rng.normal(size=(2, 3, 3, 3, 3))
+    g = rng.normal(size=(2, 6, 5, 4))
+    xh = rng.normal(size=(3, 2, 5, 4))
+    wh = rng.normal(size=(2, 3, 3, 3))
+    results = []
+    for slab_bytes in (1, 8 << 20):
+        monkeypatch.setattr(convops, "_SLAB_BYTES", slab_bytes)
+        y, xp, pads = conv3d_forward(x, w, None, padding="same")
+        yh, hp, hpads = conv2d_forward(xh, wh, None)
+        results.append((y, *conv3d_backward(g, xp, w, (1, 1, 1), pads),
+                        yh, *conv2d_backward(yh, hp, wh, hpads)))
+    for a, b in zip(*results):
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
 def test_conv2d_matches_conv3d_on_singleton_axis():

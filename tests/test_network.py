@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from voxwalk.convops import pool3d, upsample
+from voxwalk.convops import pool3d_forward, upsample
 from voxwalk.gradcheck import grad_check
 from voxwalk.network import (
     NetworkSpec,
@@ -26,7 +26,7 @@ def fixed_forward(net, volume, keep_skips):
     cur = x
     for i, unit in enumerate(net.encoders):
         if i > 0:
-            cur = pool3d(cur, net.pool_window, "max")
+            cur, _ = pool3d_forward(cur, net.pool_window, "max")
         cur, _ = unit.forward(cur)
         enc.append(cur)
     for i in reversed(range(net.spec.depth)):
@@ -221,6 +221,12 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=-0.1)
     TrainConfig(learning_rate=0.0)  # explicitly allowed
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_train_config_rejects_non_finite_learning_rate(rate):
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        TrainConfig(learning_rate=rate)
 
 
 def test_checkpoint_roundtrip(tmp_path):

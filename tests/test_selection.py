@@ -6,6 +6,7 @@ import pytest
 
 from voxwalk.selection import (
     SelectionResult,
+    as_prob_stack,
     confidence,
     consistency,
     node_energies,
@@ -158,3 +159,13 @@ def test_selection_partition_invariant():
 def test_probability_range_validated():
     with pytest.raises(ValueError, match=r"\[0,1\]"):
         select(np.full((1, 2, 2, 2), 1.4), 0.5)
+
+
+def test_nan_probability_rejected():
+    # NaN fails every comparison, so a range check alone lets it through
+    maps = np.full((2, 2, 2, 2), 0.5)
+    maps[1, 0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        as_prob_stack(maps)
+    with pytest.raises(ValueError, match="finite"):
+        select(maps, 0.5)

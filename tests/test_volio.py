@@ -103,3 +103,27 @@ def test_synth_labels_nontrivial():
     _, label = synth(1, (16, 16, 16), n_blobs=2)
     frac = label.mean()
     assert 0.01 < frac < 0.6
+
+
+@pytest.mark.parametrize("kind", ["prob", "intensity"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected_at_write(tmp_path, kind, bad):
+    data = np.full((2, 2, 2), 0.5)
+    data[1, 0, 1] = bad
+    path = tmp_path / "bad.raw"
+    with pytest.raises(ValueError, match="non-finite") as info:
+        write_volume(path, data, kind)
+    assert str(path) in str(info.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind", ["prob", "intensity"])
+def test_non_finite_values_rejected_at_read(tmp_path, kind):
+    path = tmp_path / "v.raw"
+    write_volume(path, np.full((2, 2, 2), 0.5), kind)
+    payload = np.fromfile(path, dtype="<f4")
+    payload[3] = np.nan
+    payload.tofile(path)
+    with pytest.raises(ValueError, match="non-finite") as info:
+        read_volume(path)
+    assert str(path) in str(info.value)

@@ -5,6 +5,7 @@ prune fraction 0.999, Gaussian edge sharpness 100, learning rate 1e-4.
 """
 
 import json
+import numbers
 
 import numpy as np
 from dataclasses import dataclass, field, asdict
@@ -20,6 +21,13 @@ class PipelineConfig:
     seeds: dict = field(default_factory=lambda: {"network": 0})
 
     def __post_init__(self):
+        for name in ("alpha", "theta", "beta", "learning_rate", "solver_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not (isinstance(self.seeds, dict)
+                and all(isinstance(v, numbers.Integral) for v in self.seeds.values())):
+            raise ValueError(f"seeds must map names to integers, got {self.seeds!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
         if not 0.0 <= self.theta <= 1.0:
@@ -39,6 +47,8 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, text):
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -48,7 +58,11 @@ class PipelineConfig:
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_json(text)
+        except ValueError as exc:
+            raise ValueError(f"config {path}: {exc}") from None
 
     def replace(self, **overrides):
         """New config with the non-None overrides applied."""

@@ -44,15 +44,17 @@ def _same_pad(k):
 
 
 def _pad_spatial(x, kernel_extents, padding, spatial_axes):
-    """Zero-pad the spatial axes for 'same' output extents; no-op for 'valid'."""
+    """Zero-pad the spatial axes for 'same' output extents.  Returns x itself,
+    not a copy, when there is nothing to pad ('valid', or 1-voxel kernels)."""
+    pads = [(0, 0)] * x.ndim
     if padding == "valid":
-        pads = [(0, 0)] * x.ndim
         return x, pads
     if padding != "same":
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    pads = [(0, 0)] * x.ndim
     for ax, k in zip(spatial_axes, kernel_extents):
         pads[ax] = _same_pad(k)
+    if not any(lo or hi for lo, hi in pads):
+        return x, pads
     return np.pad(x, pads), pads
 
 

@@ -444,10 +444,17 @@ def load_checkpoint(path):
     if len(raw) < 4 + hlen:
         raise ValueError(f"checkpoint {path} header is truncated")
     header = json.loads(raw[4:4 + hlen].decode("utf-8"))
-    if header.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a network checkpoint")
-    spec = NetworkSpec(**header["spec"])
-    net = RandomConnectionNet(spec)
+    if header.get("version") != 1:
+        raise ValueError(
+            f"checkpoint {path} has version {header.get('version')!r}; only 1 is supported")
+    if not isinstance(header.get("spec"), dict):
+        raise ValueError(f"checkpoint {path} header has no \"spec\" object")
+    try:
+        net = RandomConnectionNet(NetworkSpec(**header["spec"]))
+    except (TypeError, ValueError) as exc:  # unknown, missing or ill-typed keys
+        raise ValueError(f"checkpoint {path} has an invalid spec: {exc}") from None
     offset = 4 + hlen
     for _, key, arr in net.parameters():
         nbytes = arr.size * 4

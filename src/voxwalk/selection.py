@@ -43,7 +43,6 @@ class SelectionResult:
     confident_labels: np.ndarray  # hard 0/1 label per confident voxel
     candidate_idx: np.ndarray     # flat voxel indices, ascending
     theta: float
-    energies: np.ndarray = None   # optional [D,H,W] diagnostic
 
     def __post_init__(self):
         n = int(np.prod(self.dims))
@@ -73,40 +72,41 @@ def consistency(v, u):
     return float(out) if out.ndim == 0 else out
 
 
-def _pair_cosine(p, q):
-    """Cosine between (p,1-p) and (q,1-q), elementwise on arrays."""
-    num = p * q + (1.0 - p) * (1.0 - q)
-    den = np.sqrt(p * p + (1.0 - p) ** 2) * np.sqrt(q * q + (1.0 - q) ** 2)
-    return num / den
-
-
 def node_energies(maps):
     """Per-voxel selection energy, summed over networks, as a [D,H,W] array.
+
+    Each node (p, 1-p) is scaled once to a unit vector (u, v), so a lattice
+    cosine is u·u' + v·v'.  Over the ordered pairs of distinct networks the
+    co-located cosines then sum to (Σₖ u)² + (Σₖ v)² - K, since each unit
+    vector contributes u² + v² = 1 to the full square.  The maps are visited
+    one at a time, so only [D,H,W]-sized temporaries are allocated.
 
     Lattice edges are truncated at the volume border (no phantom
     neighbors), so border energies are comparably smaller.
     """
     p = as_prob_stack(maps)
-    k = p.shape[0]
-    energy = ((1.0 - 2.0 * p) ** 2).sum(axis=0)
-    for ax in (1, 2, 3):
-        lo = [slice(None)] * 4
-        hi = [slice(None)] * 4
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        cos = _pair_cosine(p[tuple(lo)], p[tuple(hi)]).sum(axis=0)
-        sl_lo = tuple(lo[1:])
-        sl_hi = tuple(hi[1:])
-        energy[sl_lo] += cos
-        energy[sl_hi] += cos
-    for a in range(k):
-        for b in range(a + 1, k):
-            cos = _pair_cosine(p[a], p[b])
-            energy += 2.0 * cos  # counted once from each network's node
+    energy = np.zeros(p.shape[1:])
+    sum_u = np.zeros_like(energy)
+    sum_v = np.zeros_like(energy)
+    for pk in p:
+        energy += (1.0 - 2.0 * pk) ** 2
+        v = 1.0 - pk
+        norm = np.sqrt(pk * pk + v * v)
+        u = pk / norm
+        v /= norm
+        for ax in range(3):
+            lo = (slice(None),) * ax + (slice(None, -1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
+            cos = u[lo] * u[hi] + v[lo] * v[hi]
+            energy[lo] += cos
+            energy[hi] += cos
+        sum_u += u
+        sum_v += v
+    energy += sum_u * sum_u + sum_v * sum_v - p.shape[0]
     return energy
 
 
-def select(maps, theta, keep_energies=False):
+def select(maps, theta):
     """Prune the floor(|V| * theta) highest-energy voxels as confident.
 
     Energy ties break by ascending voxel index.  Confident voxels get hard
@@ -132,5 +132,4 @@ def select(maps, theta, keep_energies=False):
         confident_labels=labels,
         candidate_idx=cand,
         theta=float(theta),
-        energies=energy if keep_energies else None,
     )

@@ -33,8 +33,8 @@ def edge_weight(ii, ij, beta):
     Intensities are expected on a normalized [0,1] scale so one beta is
     comparable across volumes.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not 0 <= beta < np.inf:  # a negation, so that NaN is rejected
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     ii = np.asarray(ii, dtype=np.float64)
     ij = np.asarray(ij, dtype=np.float64)
     out = np.exp(-beta * (ii - ij) ** 2)
@@ -88,8 +88,11 @@ class CompactGraph:
         if self.unary_fg.ndim != 2 or self.unary_fg.shape[1] < 1:
             raise ValueError("every candidate needs at least one network prior")
         for w in (self.edge_weights, self.dirichlet_weights):
-            if len(w) and (w.min() < 0 or w.max() > 1.0 + 1e-12):
-                raise ValueError("edge weights must lie in [0,1]")
+            # NaN propagates into min and max and fails both comparisons
+            if len(w) and not (w.min() >= 0 and w.max() <= 1.0 + 1e-12):
+                raise ValueError("edge weights must be finite and lie in [0,1]")
+        if not (np.isfinite(self.unary_fg).all() and np.isfinite(self.unary_bg).all()):
+            raise ValueError("unary terms must be finite")
 
     @property
     def n_candidates(self):
@@ -178,43 +181,32 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
 
 
 def build_system(graph):
-    """Stationarity system (A, b) of the walker energy, with structure checks.
+    """Stationarity system (A, b) of the walker energy, an M-matrix.
 
-    A is symmetric, has nonpositive off-diagonals and is strictly diagonally
-    dominant with positive diagonal (an M-matrix, hence SPD); violations
-    raise ValueError.
+    Two of the M-matrix properties hold by construction: A is symmetric,
+    since each edge enters at (i,j) and at (j,i) with the same value, and
+    its off-diagonals are -w² <= 0, since :class:`CompactGraph` admits only
+    finite weights.  The third is checked: each row's diagonal exceeds the
+    sum of its off-diagonal magnitudes by the row's terminal and Dirichlet
+    terms, Σₖ (fg² + bg²) + Σ w², which must be positive (strict diagonal
+    dominance, hence A is SPD); a zero margin raises ValueError.
     """
     n = graph.n_candidates
-    w2_unary = (graph.unary_fg ** 2 + graph.unary_bg ** 2).sum(axis=1)
-    diag = w2_unary.copy()
-    rhs = (graph.unary_fg ** 2).sum(axis=1)
-    ew2 = graph.edge_weights ** 2
-    if len(graph.edges):
-        ei = graph.edges[:, 0]
-        ej = graph.edges[:, 1]
-        np.add.at(diag, ei, ew2)
-        np.add.at(diag, ej, ew2)
+    fg2 = graph.unary_fg ** 2
+    margin = (fg2 + graph.unary_bg ** 2).sum(axis=1)
+    rhs = fg2.sum(axis=1)
     dw2 = graph.dirichlet_weights ** 2
-    if len(graph.dirichlet_idx):
-        np.add.at(diag, graph.dirichlet_idx, dw2)
-        np.add.at(rhs, graph.dirichlet_idx, dw2 * graph.dirichlet_labels)
-    if len(graph.edges):
-        rows = np.concatenate([np.arange(n), ei, ej])
-        cols = np.concatenate([np.arange(n), ej, ei])
-        vals = np.concatenate([diag, -ew2, -ew2])
-    else:
-        rows = cols = np.arange(n)
-        vals = diag
-    a = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    asym = abs(a - a.T)
-    if asym.nnz and asym.max() != 0.0:
-        raise ValueError("walker system matrix must be symmetric")
-    off = a - sparse.diags(a.diagonal())
-    if off.nnz and off.max() > 0.0:
-        raise ValueError("walker system off-diagonals must be nonpositive")
-    row_off = np.asarray(np.abs(off).sum(axis=1)).reshape(-1)
-    if not np.all(a.diagonal() - row_off > 0):
+    margin += np.bincount(graph.dirichlet_idx, dw2, minlength=n)
+    rhs += np.bincount(graph.dirichlet_idx, dw2 * graph.dirichlet_labels, minlength=n)
+    if not np.all(margin > 0):
         raise ValueError("walker system diagonal must strictly dominate its rows")
+    ei, ej = graph.edges[:, 0], graph.edges[:, 1]
+    ew2 = graph.edge_weights ** 2
+    diag = margin + np.bincount(ei, ew2, minlength=n) + np.bincount(ej, ew2, minlength=n)
+    rows = np.concatenate([np.arange(n), ei, ej])
+    cols = np.concatenate([np.arange(n), ej, ei])
+    vals = np.concatenate([diag, -ew2, -ew2])
+    a = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return a, rhs
 
 
@@ -254,6 +246,8 @@ def solve(graph, tol=1e-8, max_iters=None):
     solver tolerance, clamped exactly, then thresholded at 0.5 (0.5 maps to
     foreground).
     """
+    if not 0 < tol < np.inf:  # a negation, so that NaN is rejected
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     n = graph.n_candidates
     if n == 0:
         empty = np.zeros(0)

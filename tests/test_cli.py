@@ -1,7 +1,9 @@
 """The command-line contract: exit 0 with results on stdout and logs on
 stderr, exit 1 with one `voxwalk: error:` line, exit 2 on usage errors."""
 
+import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +104,42 @@ def test_refine_rejects_nan_probability_file(tmp_path, scene):
                   "--out", tmp_path / "o.raw")
     assert_one_error_line(out)
     assert str(probs[1]) in out.stderr and "non-finite" in out.stderr
+
+
+def write_checkpoint(path, header):
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<I", len(blob)) + blob)
+
+
+SPEC = {"unit_type": "conv3d", "depth": 1, "widths": [2, 3]}
+
+
+@pytest.mark.parametrize("header, words", [
+    ({"format": "rcnet-checkpoint", "version": 1}, '"spec"'),
+    (["rcnet-checkpoint", 1], "not a network checkpoint"),
+    ({"format": "rcnet-checkpoint", "version": 1, "spec": dict(SPEC, gamma=1)}, "gamma"),
+    ({"format": "rcnet-checkpoint", "version": 9, "spec": SPEC}, "version 9"),
+])
+def test_infer_rejects_malformed_checkpoint(tmp_path, header, words):
+    ckpt, volume = tmp_path / "net.ckpt", tmp_path / "v.raw"
+    write_checkpoint(ckpt, header)
+    write_volume(volume, np.zeros((4, 4, 4)), "intensity")
+    out = run_cli("infer", "--checkpoint", ckpt, "--volume", volume, "--out", tmp_path / "o.raw")
+    assert_one_error_line(out)
+    assert str(ckpt) in out.stderr and words in out.stderr
+    assert not (tmp_path / "o.raw").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"theta": "0.5"}, "theta"),
+    ({"seeds": [1]}, "seeds"),
+    (["theta", 0.5], "JSON object"),
+])
+def test_refine_rejects_malformed_config(tmp_path, scene, config, key):
+    intensity, probs = scene
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = run_cli("refine", "--config", path, "--probs", *probs, "--intensity", intensity,
+                  "--out", tmp_path / "o.raw")
+    assert_one_error_line(out)
+    assert str(path) in out.stderr and key in out.stderr

@@ -122,6 +122,15 @@ def test_conv3d_same_padding_preserves_extents():
     assert y.shape == (3, 4, 6, 5)
 
 
+def test_unit_kernel_same_padding_reuses_input():
+    # 1x1x1 kernels need no pad, so the padded input is the input, not a copy
+    x = np.random.default_rng(30).normal(size=(2, 3, 4, 5))
+    y, xp, pads = conv3d_forward(x, np.ones((1, 2, 1, 1, 1)), None, padding="same")
+    assert xp is x and pads == [(0, 0)] * 4
+    assert np.allclose(y[0], x.sum(axis=0), rtol=1e-12)
+    assert conv3d_forward(x, np.ones((1, 2, 3, 1, 1)), None, padding="same")[1].shape == (2, 5, 4, 5)
+
+
 def test_conv3d_backward_matches_numeric():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, 4, 5, 4))

@@ -57,7 +57,7 @@ def test_corner_voxel_has_three_lattice_neighbors():
 
 def test_node_energies_match_loop_oracle():
     rng = np.random.default_rng(0)
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 5):
         maps = rng.random((k, 2, 3, 4))
         energies = node_energies(maps)
         for flat in range(maps[0].size):

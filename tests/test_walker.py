@@ -328,3 +328,62 @@ def test_refine_removes_false_positive_blob():
     blob = out.labels[5:7, 5:7, 5:7]
     assert blob.sum() == 0
     assert dice(out.labels, truth.astype(np.uint8)) >= dice(fused, truth.astype(np.uint8))
+
+
+def small_scene():
+    """A seeded 4³ scene with two probability maps."""
+    rng = np.random.default_rng(10)
+    return rng.random((2, 4, 4, 4)), rng.random((4, 4, 4))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_tol_rejected(tol):
+    # NaN used to stop PCG at once with x = 0, and a negative tol divided by zero
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        solve(single_candidate_graph(), tol=tol)
+    maps, intensity = small_scene()
+    with pytest.raises(ValueError, match="tol"):
+        refine(maps, intensity, 0.5, beta=100.0, tol=tol)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_non_finite_beta_rejected(beta):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        edge_weight(0.3, 0.3, beta)
+    maps, intensity = small_scene()
+    with pytest.raises(ValueError, match="beta"):
+        refine(maps, intensity, 0.5, beta=beta)
+
+
+def graph_with(**overrides):
+    """A two-candidate graph with one edge and one Dirichlet term."""
+    fields = dict(
+        dims=(3, 1, 1),
+        candidates=np.arange(2),
+        edges=np.array([[0, 1]]),
+        edge_weights=np.array([0.5]),
+        unary_fg=np.array([[0.9], [0.4]]),
+        unary_bg=np.array([[0.1], [0.6]]),
+        dirichlet_idx=np.array([1]),
+        dirichlet_labels=np.array([1], dtype=np.uint8),
+        dirichlet_weights=np.array([0.7]),
+    )
+    fields.update(overrides)
+    return CompactGraph(**fields)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5])
+def test_graph_rejects_bad_edge_and_dirichlet_weights(bad):
+    graph_with()
+    with pytest.raises(ValueError, match="edge weights must be finite"):
+        graph_with(edge_weights=np.array([bad]))
+    with pytest.raises(ValueError, match="edge weights must be finite"):
+        graph_with(dirichlet_weights=np.array([bad]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_graph_rejects_non_finite_unary_terms(bad):
+    with pytest.raises(ValueError, match="unary terms must be finite"):
+        graph_with(unary_fg=np.array([[0.9], [bad]]))
+    with pytest.raises(ValueError, match="unary terms must be finite"):
+        graph_with(unary_bg=np.array([[bad], [0.6]]))

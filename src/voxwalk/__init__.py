@@ -13,7 +13,7 @@ from .network import (
     save_checkpoint,
     train_toy,
 )
-from .selection import SelectionResult, confidence, consistency, select
+from .selection import SelectionResult, select
 from .walker import (
     CompactGraph,
     IntensityVolume,

@@ -443,7 +443,10 @@ def load_checkpoint(path):
     (hlen,) = struct.unpack("<I", raw[:4])
     if len(raw) < 4 + hlen:
         raise ValueError(f"checkpoint {path} header is truncated")
-    header = json.loads(raw[4:4 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[4:4 + hlen].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"checkpoint {path} header is not UTF-8 JSON ({exc})") from None
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a network checkpoint")
     if header.get("version") != 1:

@@ -52,26 +52,6 @@ class SelectionResult:
             raise ValueError("one hard label per confident voxel")
 
 
-def confidence(p):
-    """Label confidence (1-2p)^2: contrast between the foreground and
-    background probability.  Accepts scalars or arrays in [0,1]."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValueError("probability out of [0,1]")
-    out = (1.0 - 2.0 * p) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def consistency(v, u):
-    """Cosine similarity between two node vectors (stacked on the last axis)."""
-    v = np.asarray(v, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    num = (v * u).sum(axis=-1)
-    den = np.sqrt((v * v).sum(axis=-1)) * np.sqrt((u * u).sum(axis=-1))
-    out = num / den
-    return float(out) if out.ndim == 0 else out
-
-
 def node_energies(maps):
     """Per-voxel selection energy, summed over networks, as a [D,H,W] array.
 
@@ -109,21 +89,23 @@ def node_energies(maps):
 def select(maps, theta):
     """Prune the floor(|V| * theta) highest-energy voxels as confident.
 
-    Energy ties break by ascending voxel index.  Confident voxels get hard
-    labels by thresholding the across-network mean probability at 0.5.
+    One partition finds the cut, the n-th largest energy for n =
+    floor(|V| * theta).  Voxels above the cut are confident; of the tie band
+    exactly at the cut, the lowest voxel indices fill the count, so energy
+    ties break by ascending voxel index.  Confident voxels get hard labels
+    by thresholding the across-network mean probability at 0.5.
     Returns a :class:`SelectionResult`.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
     p = as_prob_stack(maps)
     dims = p.shape[1:]
-    energy = node_energies(p)
-    flat = energy.reshape(-1)
-    n_vox = flat.size
-    n_conf = int(math.floor(n_vox * theta))
-    order = np.argsort(-flat, kind="stable")
-    conf = np.sort(order[:n_conf])
-    cand = np.sort(order[n_conf:])
+    flat = node_energies(p).reshape(-1)
+    n_conf = int(math.floor(flat.size * theta))
+    cut = np.partition(flat, flat.size - n_conf)[flat.size - n_conf] if n_conf else np.inf
+    confident = flat > cut
+    confident[np.flatnonzero(flat == cut)[:n_conf - np.count_nonzero(confident)]] = True
+    conf, cand = np.flatnonzero(confident), np.flatnonzero(~confident)
     mean_p = p.mean(axis=0).reshape(-1)
     labels = (mean_p[conf] >= 0.5).astype(np.uint8)
     return SelectionResult(

@@ -79,9 +79,16 @@ def read_volume(path, expect_kind=None):
     try:
         with open(sidecar_path(path), "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        dims = tuple(int(s) for s in meta["dims"])
+        dims = meta["dims"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed sidecar ({exc!r})") from None
+    # exactly three JSON integers: bool is an int subclass, 4.7 is no extent
+    if not (isinstance(dims, list) and len(dims) == 3
+            and all(type(s) is int and s >= 0 for s in dims)):
+        raise ValueError(
+            f"{path}: malformed sidecar (dims must be three non-negative integers, "
+            f"got {dims!r})")
+    dims = tuple(dims)
     if meta.get("dtype") != "f32" or meta.get("order") != "row-major":
         raise ValueError(f"{path}: unsupported dtype/order in sidecar {meta}")
     kind = meta.get("kind")

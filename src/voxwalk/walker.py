@@ -109,23 +109,17 @@ class WalkerSolution:
     residual: float
 
 
-def _axis_pairs(dims):
-    """Flat-index pairs of lattice-adjacent voxels, one array pair per axis."""
-    idx = np.arange(int(np.prod(dims))).reshape(dims)
-    for ax in range(len(dims)):
-        lo = [slice(None)] * len(dims)
-        hi = [slice(None)] * len(dims)
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        yield idx[tuple(lo)].reshape(-1), idx[tuple(hi)].reshape(-1)
-
-
 def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     """Build the compact graph for a selection over K probability maps.
 
     intensity may be a raw volume (min-max normalized here) or an
     :class:`IntensityVolume`.  include_dirichlet=False drops the
     candidate-to-confident boundary terms (ablation switch).
+
+    The cost scales with the candidates, not the volume: per axis, each
+    candidate looks one step up and one step down the lattice.  A candidate
+    pair is taken once, from its lower voxel; a confident neighbor on
+    either side gives a Dirichlet term.
     """
     p = as_prob_stack(maps)
     dims = tuple(p.shape[1:])
@@ -146,23 +140,27 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
 
     edge_i, edge_j, edge_w = [], [], []
     dir_i, dir_l, dir_w = [], [], []
-    for a, b in _axis_pairs(dims):
+    # in each pass a is a pair's lower voxel and b = a + stride its upper one
+    for ax, coord in enumerate(np.unravel_index(cand, dims)):
+        stride = int(np.prod(dims[ax + 1:]))
+        a = cand[coord < dims[ax] - 1]
+        b = a + stride
         w = edge_weight(ivals[a], ivals[b], beta)
-        ca = pos[a] >= 0
-        cb = pos[b] >= 0
-        both = ca & cb
+        both = pos[b] >= 0
         edge_i.append(pos[a[both]])
         edge_j.append(pos[b[both]])
         edge_w.append(w[both])
         if include_dirichlet:
-            a_only = ca & ~cb
-            dir_i.append(pos[a[a_only]])
-            dir_l.append(conf_label[b[a_only]])
-            dir_w.append(w[a_only])
-            b_only = cb & ~ca
-            dir_i.append(pos[b[b_only]])
-            dir_l.append(conf_label[a[b_only]])
-            dir_w.append(w[b_only])
+            dir_i.append(pos[a[~both]])
+            dir_l.append(conf_label[b[~both]])
+            dir_w.append(w[~both])
+            b = cand[coord > 0]
+            a = b - stride
+            b_only = pos[a] < 0
+            a, b = a[b_only], b[b_only]
+            dir_i.append(pos[b])
+            dir_l.append(conf_label[a])
+            dir_w.append(edge_weight(ivals[a], ivals[b], beta))
 
     edges = np.stack([np.concatenate(edge_i), np.concatenate(edge_j)], axis=1)
     unary_fg = p.reshape(p.shape[0], -1)[:, cand].T.copy()

@@ -142,6 +142,31 @@ def neighbors6(idx, dims):
     return out
 
 
+def assemble_oracle(selection, intensity, beta, include_dirichlet=True):
+    """Loop-built walker graph of a selection on a [0,1] intensity volume.
+
+    Returns the sorted (i, j, w) edges, each candidate pair once from its
+    lower voxel, and the sorted (i, label, w) Dirichlet terms, with i and j
+    positions in the candidate ordering.
+    """
+    dims = selection.dims
+    flat = intensity.reshape(-1)
+    pos = {int(v): i for i, v in enumerate(selection.candidate_idx)}
+    label = dict(zip(selection.confident_idx.tolist(),
+                     selection.confident_labels.tolist()))
+    edges, dirichlet = [], []
+    for v, i in pos.items():
+        for nb in neighbors6(np.unravel_index(v, dims), dims):
+            u = int(np.ravel_multi_index(nb, dims))
+            w = float(np.exp(-beta * (flat[min(u, v)] - flat[max(u, v)]) ** 2))
+            if u in pos:
+                if v < u:
+                    edges.append((i, pos[u], w))
+            elif include_dirichlet:
+                dirichlet.append((i, label[u], w))
+    return sorted(edges), sorted(dirichlet)
+
+
 def node_energy_oracle(p, voxel):
     """Loop evaluation of one voxel's selection energy over K maps."""
     k_maps = p.shape[0]

@@ -130,6 +130,35 @@ def test_infer_rejects_malformed_checkpoint(tmp_path, header, words):
     assert not (tmp_path / "o.raw").exists()
 
 
+@pytest.mark.parametrize("header", [b"\xff\xfe{}", b"not json"])
+def test_infer_rejects_checkpoint_header_that_is_not_utf8_json(tmp_path, header):
+    ckpt, volume = tmp_path / "net.ckpt", tmp_path / "v.raw"
+    ckpt.write_bytes(struct.pack("<I", len(header)) + header)
+    write_volume(volume, np.zeros((4, 4, 4)), "intensity")
+    out = run_cli("infer", "--checkpoint", ckpt, "--volume", volume, "--out", tmp_path / "o.raw")
+    assert_one_error_line(out)
+    assert str(ckpt) in out.stderr and "not UTF-8 JSON" in out.stderr
+    assert not (tmp_path / "o.raw").exists()
+
+
+def test_refine_rejects_two_dimensional_prob_sidecars(tmp_path):
+    """Two 8x8 maps must not be fused as one 2x8x8 map."""
+    intensity = tmp_path / "i.raw"
+    write_volume(intensity, np.random.default_rng(0).random((2, 8, 8)), "intensity")
+    probs = []
+    for k in range(2):
+        path = tmp_path / f"p{k}.raw"
+        write_volume(path, np.full((1, 8, 8), 0.3 + 0.4 * k), "prob")
+        Path(sidecar_path(path)).write_text(json.dumps(
+            {"dims": [8, 8], "dtype": "f32", "order": "row-major", "kind": "prob"}))
+        probs.append(path)
+    out = run_cli("refine", "--probs", *probs, "--intensity", intensity,
+                  "--out", tmp_path / "o.raw")
+    assert_one_error_line(out)
+    assert str(probs[0]) in out.stderr and "dims" in out.stderr
+    assert not (tmp_path / "o.raw").exists()
+
+
 @pytest.mark.parametrize("config, key", [
     ({"theta": "0.5"}, "theta"),
     ({"seeds": [1]}, "seeds"),

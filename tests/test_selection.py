@@ -3,39 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from voxwalk.selection import (
     SelectionResult,
     as_prob_stack,
-    confidence,
-    consistency,
     node_energies,
     select,
 )
 
 from oracles import node_energy_oracle
-
-
-def test_confidence_examples():
-    assert confidence(0.5) == 0.0
-    assert confidence(1.0) == 1.0
-    assert confidence(0.0) == 1.0
-    assert math.isclose(confidence(0.9), 0.64, rel_tol=1e-12)
-
-
-def test_confidence_rejects_out_of_range():
-    with pytest.raises(ValueError, match=r"\[0,1\]"):
-        confidence(1.5)
-    with pytest.raises(ValueError):
-        confidence(-0.1)
-
-
-def test_consistency_examples():
-    assert math.isclose(consistency([0.3, 0.7], [0.3, 0.7]), 1.0, rel_tol=1e-12)
-    assert abs(consistency([1.0, 0.0], [0.0, 1.0])) < 1e-15
-    want = 0.5 / (math.sqrt(0.68) * math.sqrt(0.5))
-    assert math.isclose(consistency([0.8, 0.2], [0.5, 0.5]), want, rel_tol=1e-12)
-    assert math.isclose(want, 0.85749, rel_tol=1e-5)
 
 
 def test_node_energy_single_map_all_foreground():
@@ -169,3 +147,29 @@ def test_nan_probability_rejected():
         as_prob_stack(maps)
     with pytest.raises(ValueError, match="finite"):
         select(maps, 0.5)
+
+
+@st.composite
+def quantized_maps(draw):
+    """K maps on a few probability levels, so energy ties straddle the cut."""
+    k = draw(st.integers(1, 3))
+    dims = draw(st.tuples(*[st.integers(1, 5)] * 3))
+    levels = draw(st.integers(1, 4))
+    q = draw(hnp.arrays(np.int64, (k,) + dims, elements=st.integers(0, levels)))
+    return q / levels
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps=quantized_maps(),
+       theta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_select_splits_stable_descending_order(maps, theta):
+    sel = select(maps, theta)
+    energy = node_energies(maps).reshape(-1)
+    n_conf = int(math.floor(energy.size * theta))
+    order = np.argsort(-energy, kind="stable")
+    assert np.array_equal(sel.confident_idx, np.sort(order[:n_conf]))
+    assert np.array_equal(sel.candidate_idx, np.sort(order[n_conf:]))
+    assert sel.confident_idx.dtype == sel.candidate_idx.dtype == np.intp
+    mean_p = maps.mean(axis=0).reshape(-1)
+    assert np.array_equal(sel.confident_labels, mean_p[sel.confident_idx] >= 0.5)
+    assert sel.confident_labels.dtype == np.uint8

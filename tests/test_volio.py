@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from voxwalk.volio import (
     SYNTH_MIDPOINT,
@@ -40,7 +42,21 @@ def test_payload_length_validated(tmp_path):
         read_volume(path)
 
 
-@pytest.mark.parametrize("sidecar", ['{"dtype": "f32"}', "[1, 2]", '{"dims": 8}', "{"])
+def intensity_sidecar(dims):
+    return json.dumps({"dims": dims, "dtype": "f32", "order": "row-major",
+                       "kind": "intensity"})
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"dtype": "f32"}', "[1, 2]", '{"dims": 8}', "{",
+    # each of these dims fits the 32-byte payload, so only the dims check stops it
+    intensity_sidecar([2, 4]),
+    intensity_sidecar([2, 2, 2.5]),
+    intensity_sidecar([-2, -2, 2]),
+    intensity_sidecar([2, 2, 2, 1]),
+    intensity_sidecar([True, 2, 4]),
+    intensity_sidecar(["2", 2, 2]),
+])
 def test_malformed_sidecar_names_path(tmp_path, sidecar):
     path = tmp_path / "v.raw"
     write_volume(path, np.zeros((2, 2, 2)), "intensity")
@@ -48,6 +64,31 @@ def test_malformed_sidecar_names_path(tmp_path, sidecar):
     with pytest.raises(ValueError, match="malformed sidecar") as info:
         read_volume(path)
     assert str(path) in str(info.value)
+
+
+@st.composite
+def volumes(draw):
+    """A volume of any kind with values exactly representable in float32."""
+    dims = draw(st.tuples(*[st.integers(0, 4)] * 3))
+    kind = draw(st.sampled_from(["intensity", "prob", "label"]))
+    elements = {
+        "intensity": st.floats(width=32, allow_nan=False, allow_infinity=False),
+        "prob": st.floats(0.0, 1.0, width=32),
+        "label": st.sampled_from([0.0, 1.0]),
+    }[kind]
+    return draw(hnp.arrays(np.float32, dims, elements=elements)).astype(np.float64), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(volume=volumes())
+def test_roundtrip_property(tmp_path_factory, volume):
+    data, kind = volume
+    path = tmp_path_factory.mktemp("roundtrip") / "v.raw"
+    write_volume(path, data, kind)
+    back, meta = read_volume(path, expect_kind=kind)
+    assert back.dtype == np.float64 and back.shape == data.shape
+    assert back.tobytes() == data.tobytes()  # bit-identical, -0.0 included
+    assert meta["dims"] == list(data.shape)
 
 
 def test_kind_constraints_enforced(tmp_path):

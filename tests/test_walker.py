@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from voxwalk.selection import select
+from voxwalk.selection import SelectionResult, select
 from voxwalk.walker import (
     CompactGraph,
     IntensityVolume,
@@ -19,7 +21,7 @@ from voxwalk.walker import (
     solve,
 )
 
-from oracles import dense_system_oracle, walker_energy_oracle
+from oracles import assemble_oracle, dense_system_oracle, walker_energy_oracle
 
 
 def test_edge_weight_examples():
@@ -387,3 +389,37 @@ def test_graph_rejects_non_finite_unary_terms(bad):
         graph_with(unary_fg=np.array([[0.9], [bad]]))
     with pytest.raises(ValueError, match="unary terms must be finite"):
         graph_with(unary_bg=np.array([[bad], [0.6]]))
+
+
+@st.composite
+def partitions(draw):
+    """A lattice of extent 1-5 per axis split at random into confident
+    voxels with hard labels and candidates, plus intensities and priors."""
+    dims = draw(st.tuples(*[st.integers(1, 5)] * 3))
+    is_cand = draw(hnp.arrays(bool, dims)).reshape(-1)
+    conf = np.flatnonzero(~is_cand)
+    labels = draw(hnp.arrays(np.uint8, len(conf), elements=st.integers(0, 1)))
+    sel = SelectionResult(dims=dims, confident_idx=conf, confident_labels=labels,
+                          candidate_idx=np.flatnonzero(is_cand), theta=0.5)
+    unit = st.floats(0.0, 1.0)
+    intensity = draw(hnp.arrays(np.float64, dims, elements=unit))
+    maps = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)),) + dims, elements=unit))
+    return sel, maps, intensity
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=partitions(), beta=st.floats(0.0, 50.0), include_dirichlet=st.booleans())
+def test_assemble_matches_neighbor_loop(case, beta, include_dirichlet):
+    sel, maps, intensity = case
+    graph = assemble(sel, maps, intensity, beta, include_dirichlet=include_dirichlet)
+    data = IntensityVolume.from_raw(intensity).data
+    want_edges, want_dirichlet = assemble_oracle(sel, data, beta, include_dirichlet)
+    got_edges = sorted(zip(*graph.edges.T.tolist(), graph.edge_weights.tolist()))
+    got_dirichlet = sorted(zip(graph.dirichlet_idx.tolist(),
+                               graph.dirichlet_labels.tolist(),
+                               graph.dirichlet_weights.tolist()))
+    for got, want in ((got_edges, want_edges), (got_dirichlet, want_dirichlet)):
+        assert [g[:2] for g in got] == [w[:2] for w in want]
+        assert np.allclose([g[2] for g in got], [w[2] for w in want], rtol=1e-12, atol=0)
+    assert np.array_equal(graph.candidates, sel.candidate_idx)
+    assert np.array_equal(graph.unary_fg, maps.reshape(len(maps), -1)[:, sel.candidate_idx].T)

@@ -2,7 +2,6 @@
 graph-based node selection and random-walker label inference."""
 
 from .convops import upsample
-from .gradcheck import grad_check
 from .network import (
     NetworkSpec,
     RandomConnectionNet,
@@ -17,6 +16,7 @@ from .selection import SelectionResult, select
 from .walker import (
     CompactGraph,
     IntensityVolume,
+    RefineResult,
     WalkerSolution,
     assemble,
     edge_weight,

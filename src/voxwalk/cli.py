@@ -78,11 +78,17 @@ def _cmd_infer(args):
 
 
 def _read_prob_maps(paths):
-    maps = []
-    for path in paths:
+    """Read the K probability volumes into one [K,D,H,W] array, filled in place."""
+    maps = None
+    for k, path in enumerate(paths):
         data, _ = volio.read_volume(path, expect_kind="prob")
-        maps.append(data)
-    return np.stack(maps)
+        if maps is None:
+            maps = np.empty((len(paths),) + data.shape, dtype=data.dtype)
+        elif data.shape != maps.shape[1:]:
+            raise ValueError(
+                f"{path}: dims {data.shape} differ from the first map's {maps.shape[1:]}")
+        maps[k] = data
+    return maps
 
 
 def _cmd_select(args):
@@ -109,7 +115,10 @@ def _cmd_refine(args):
     volio.write_volume(args.out, result.labels.astype(np.float64), "label")
     if args.out_x:
         volio.write_volume(args.out_x, result.x, "prob")
-    _log(f"refine: K={len(args.probs)} theta={cfg.theta} beta={cfg.beta} -> {args.out}")
+    _log(f"refine: K={len(args.probs)} theta={cfg.theta} beta={cfg.beta} -> {args.out} "
+         f"({result.candidates} candidates, {result.edges} edges, "
+         f"{result.dirichlet} Dirichlet terms, {result.iterations} PCG iterations, "
+         f"residual {result.residual:.3e})")
     return 0
 
 

@@ -14,12 +14,11 @@ tap at a time).  The slab is as many planes as fit in `_SLAB_BYTES`, so the
 column buffer stays bounded whatever the volume size.  conv2d is the same
 kernel at depth 1.
 
-Operations compute in numpy's promoted dtype of their arguments.  The
-network casts its input volumes to float64 and draws float64 weights, so
-training and inference run in float64.  Moving the network to float32
-would cut the GEMM and copy cost further, but it changes every trained
-weight, and a pinned checkpoint digest fixes the float64 bytes, so it is a
-separate change.
+Operations compute in numpy's promoted dtype of their arguments, and the
+column buffer takes that dtype too.  The network holds float32 parameters
+and casts its inputs to them, so training and inference run in float32,
+which halves the bytes every im2col copy and GEMM moves; the gradient
+checks promote the parameters and run the same code in float64.
 """
 
 import numpy as np

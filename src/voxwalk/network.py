@@ -190,7 +190,14 @@ class ConvLSTMUnit:
 
 
 class RandomConnectionNet:
-    """Network object: spec plus parameters plus the forward/backward rules."""
+    """Network object: spec plus parameters plus the forward/backward rules.
+
+    The parameters are float32, the dtype checkpoints store, so a loaded
+    net is the saved one bit for bit.  The net computes in the dtype of its
+    parameters: volumes, labels and skip gates are cast to it, since under
+    NEP 50 a float64 gate scalar would promote every skip sum to float64.
+    Promote every parameter to float64 and the same code runs in float64.
+    """
 
     def __init__(self, spec, rng=None):
         self.spec = spec
@@ -219,6 +226,15 @@ class RandomConnectionNet:
             self._layers.append(self.decoders[i])
         self._layers.append(self.head)
         self._slot = {id(l): j for j, l in enumerate(self._layers)}
+        # cast after drawing, so the draws and their order stay those of the layers
+        for layer in self._layers:
+            for key in layer.keys:
+                setattr(layer, key, getattr(layer, key).astype(np.float32))
+
+    @property
+    def dtype(self):
+        """The dtype of the parameters, in which the net computes."""
+        return self.head.weights.dtype
 
     def parameters(self):
         """Parameter arrays as (layer_index, key, array), in declaration order."""
@@ -229,7 +245,7 @@ class RandomConnectionNet:
         return out
 
     def _check_volume(self, volume):
-        volume = np.asarray(volume, dtype=np.float64)
+        volume = np.asarray(volume, dtype=self.dtype)
         if volume.ndim != 3:
             raise ValueError(f"expected a 3-D volume, got shape {volume.shape}")
         factor = 2 ** self.spec.depth
@@ -244,13 +260,13 @@ class RandomConnectionNet:
     def _gates(self, mask):
         depth = self.spec.depth
         if mask is None:
-            return np.full(depth, float(self.spec.alpha))
+            return np.full(depth, self.spec.alpha, dtype=self.dtype)
         mask = np.asarray(mask)
         if mask.shape != (depth,):
             raise ValueError(f"mask must have {depth} entries, got shape {mask.shape}")
         if mask.dtype != np.bool_:
             raise ValueError("mask must be boolean; pass mask=None for expectation mode")
-        return mask.astype(np.float64)
+        return mask.astype(self.dtype)
 
     def _forward_full(self, volume, gates):
         x = self._check_volume(volume)[None]
@@ -323,7 +339,7 @@ class RandomConnectionNet:
         """
         gates = self._gates(mask)
         z, caches = self._forward_full(volume, gates)
-        y = np.asarray(label, dtype=np.float64)[None]
+        y = np.asarray(label, dtype=self.dtype)[None]
         if y.shape != z.shape:
             raise ValueError(f"label shape {np.shape(label)} does not match volume")
         with np.errstate(over="ignore", invalid="ignore"):

@@ -109,6 +109,19 @@ class WalkerSolution:
     residual: float
 
 
+@dataclass
+class RefineResult(LabelVolume):
+    """Fused labels and solved field, with the counters of the pass that
+    made them: candidate voxels, graph edges, Dirichlet terms, PCG
+    iterations and the final relative residual (all 0 with no candidates)."""
+
+    candidates: int = 0
+    edges: int = 0
+    dirichlet: int = 0
+    iterations: int = 0
+    residual: float = 0.0
+
+
 def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     """Build the compact graph for a selection over K probability maps.
 
@@ -267,7 +280,7 @@ def refine(maps, intensity, theta, beta, tol=1e-8, max_iters=None,
     """Full node-selection + label-inference pass over K probability maps.
 
     Confident voxels keep their hard labels; candidate voxels take the
-    walker labels.  Returns a LabelVolume whose x field carries the solved
+    walker labels.  Returns a RefineResult whose x field carries the solved
     probabilities (confident voxels hold their label value).
     """
     p = as_prob_stack(maps)
@@ -277,9 +290,13 @@ def refine(maps, intensity, theta, beta, tol=1e-8, max_iters=None,
     xfield = np.zeros(int(np.prod(dims)))
     labels[sel.confident_idx] = sel.confident_labels
     xfield[sel.confident_idx] = sel.confident_labels
+    counters = {}
     if len(sel.candidate_idx):
         graph = assemble(sel, p, intensity, beta, include_dirichlet=include_dirichlet)
         sol = solve(graph, tol=tol, max_iters=max_iters)
         labels[sel.candidate_idx] = sol.labels
         xfield[sel.candidate_idx] = sol.x
-    return LabelVolume(labels.reshape(dims), xfield.reshape(dims))
+        counters = dict(candidates=graph.n_candidates, edges=len(graph.edges),
+                        dirichlet=len(graph.dirichlet_idx), iterations=sol.iterations,
+                        residual=sol.residual)
+    return RefineResult(labels.reshape(dims), xfield.reshape(dims), **counters)

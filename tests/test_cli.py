@@ -3,6 +3,7 @@ stderr, exit 1 with one `voxwalk: error:` line, exit 2 on usage errors."""
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxwalk.volio import sidecar_path, write_volume
+from voxwalk import network, walker
+from voxwalk.config import PipelineConfig
+from voxwalk.volio import read_volume, sidecar_path, write_volume
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -157,6 +160,72 @@ def test_refine_rejects_two_dimensional_prob_sidecars(tmp_path):
     assert_one_error_line(out)
     assert str(probs[0]) in out.stderr and "dims" in out.stderr
     assert not (tmp_path / "o.raw").exists()
+
+
+def test_refine_rejects_maps_of_different_dims(tmp_path, scene):
+    intensity, probs = scene
+    odd = tmp_path / "odd.raw"
+    write_volume(odd, np.full((8, 8, 4), 0.4), "prob")
+    out = run_cli("refine", "--probs", *probs, odd, "--intensity", intensity,
+                  "--out", tmp_path / "o.raw")
+    assert_one_error_line(out)
+    assert str(odd) in out.stderr and "dims" in out.stderr
+    assert not (tmp_path / "o.raw").exists()
+
+
+def test_refine_logs_its_counters(tmp_path, scene):
+    intensity, probs = scene
+    out = run_cli("refine", "--probs", *probs, "--intensity", intensity, "--theta", "0.5",
+                  "--out", tmp_path / "o.raw")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ""
+    line, = out.stderr.splitlines()
+    got = re.search(r"\((\d+) candidates, (\d+) edges, (\d+) Dirichlet terms, "
+                    r"(\d+) PCG iterations, residual (\S+)\)$", line)
+    assert got, line
+    maps = np.stack([read_volume(p)[0] for p in probs])
+    cfg = PipelineConfig()
+    want = walker.refine(maps, read_volume(intensity)[0], 0.5, cfg.beta, tol=cfg.solver_tol)
+    assert [int(v) for v in got.groups()[:4]] == [
+        want.candidates, want.edges, want.dirichlet, want.iterations]
+    assert want.candidates > 0 and want.iterations > 0
+    assert got.group(5) == f"{want.residual:.3e}"
+
+
+def test_whole_pipeline_runs_and_infer_matches_the_library(tmp_path):
+    """synth -> train (both units) -> infer -> refine -> dice at toy size.
+    The float32 checkpoint holds the trained parameters exactly, so the
+    CLI's inferred map equals a net trained in memory on the same volumes."""
+    for seed, name in ((1, "train"), (2, "test")):
+        out = run_cli("synth", "--seed", seed, "--dims", 8, 8, 8,
+                      "--out-intensity", tmp_path / f"{name}_i.raw",
+                      "--out-label", tmp_path / f"{name}_l.raw")
+        assert out.returncode == 0, out.stderr
+    dataset = [(read_volume(tmp_path / "train_i.raw")[0],
+                read_volume(tmp_path / "train_l.raw")[0])]
+    test_volume = read_volume(tmp_path / "test_i.raw")[0]
+    probs = []
+    for seed, unit in enumerate(network.UNIT_TYPES, start=3):
+        ckpt, prob = tmp_path / f"{unit}.ckpt", tmp_path / f"{unit}_p.raw"
+        out = run_cli("train", "--unit", unit, "--volume", tmp_path / "train_i.raw",
+                      "--label", tmp_path / "train_l.raw", "--depth", 2, "--widths", "2,3,4",
+                      "--learning-rate", 0.5, "--epochs", 3, "--seed", seed, "--out", ckpt)
+        assert out.returncode == 0, out.stderr
+        out = run_cli("infer", "--checkpoint", ckpt, "--volume", tmp_path / "test_i.raw",
+                      "--out", prob)
+        assert out.returncode == 0, out.stderr
+        probs.append(prob)
+        spec = network.NetworkSpec(unit, 2, (2, 3, 4), alpha=PipelineConfig().alpha,
+                                   rng_seed=seed)
+        net, _ = network.train_toy(spec, network.TrainConfig(learning_rate=0.5, epochs=3),
+                                   dataset)
+        assert np.array_equal(read_volume(prob)[0], network.infer(net, test_volume))
+    out = run_cli("refine", "--probs", *probs, "--intensity", tmp_path / "test_i.raw",
+                  "--out", tmp_path / "fused.raw")
+    assert out.returncode == 0, out.stderr
+    out = run_cli("dice", tmp_path / "fused.raw", tmp_path / "test_l.raw")
+    assert out.returncode == 0, out.stderr
+    assert 0.0 <= float(out.stdout) <= 1.0
 
 
 @pytest.mark.parametrize("config, key", [

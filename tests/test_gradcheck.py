@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from voxwalk.convops import conv3d_backward, conv3d_forward
-from voxwalk.gradcheck import grad_check
 
+from gradcheck import grad_check
 from test_lstm import random_unit
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from voxwalk import network
 from voxwalk.convops import pool3d_forward, upsample
-from voxwalk.gradcheck import grad_check
 from voxwalk.network import (
     NetworkSpec,
     RandomConnectionNet,
@@ -18,10 +18,12 @@ from voxwalk.network import (
     train_toy,
 )
 
+from gradcheck import grad_check
+
 
 def fixed_forward(net, volume, keep_skips):
     """Reference composition of the same layers with hard-wired skip usage."""
-    x = np.asarray(volume, dtype=np.float64)[None]
+    x = np.asarray(volume, dtype=net.dtype)[None]
     enc = []
     cur = x
     for i, unit in enumerate(net.encoders):
@@ -153,6 +155,30 @@ def test_feature_map_permutation_equivariance():
     assert np.allclose(net.forward(vol, mask=np.array([True])), base, atol=1e-12)
 
 
+@pytest.mark.parametrize("make, dims", [(small_conv_net, (8, 8, 8)),
+                                        (small_lstm_net, (3, 8, 8))])
+def test_network_computes_in_float32_end_to_end(monkeypatch, make, dims):
+    # float64 volumes and labels in; a float64 gate scalar or any other
+    # float64 operand would promote the arrays reaching the convolutions
+    seen = []
+    for name in ("conv3d_forward", "conv3d_backward", "conv2d_forward", "conv2d_backward"):
+        def record(*args, _original=getattr(network, name), _name=name, **kwargs):
+            seen.extend((_name, a.dtype) for a in args + tuple(kwargs.values())
+                        if isinstance(a, np.ndarray))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(network, name, record)
+    net = make(seed=18, depth=2, widths=(2, 3, 4))
+    rng = np.random.default_rng(18)
+    vol = rng.normal(0.5, 0.3, dims)
+    label = (vol > 0.5).astype(np.float64)
+    assert {arr.dtype for _, _, arr in net.parameters()} == {np.dtype(np.float32)}
+    _, grads = net.loss_and_grads(vol, label, mask=np.array([True, False]))
+    assert {d.dtype for g in grads for d in g.values()} == {np.dtype(np.float32)}
+    assert net.forward(vol).dtype == np.float32
+    assert {n for n, _ in seen} >= {"conv3d_forward", "conv3d_backward"}
+    assert [(n, d) for n, d in seen if d != np.float32] == []
+
+
 def _threshold_dataset(dims=(8, 8, 8), seed=9):
     rng = np.random.default_rng(seed)
     vol = rng.normal(0.5, 0.25, dims)
@@ -238,11 +264,9 @@ def test_checkpoint_roundtrip(tmp_path):
         save_checkpoint(path, net)
         back = load_checkpoint(path)
         assert back.spec == net.spec
+        # the parameters are float32, the dtype the checkpoint stores
         for (_, _, a), (_, _, b) in zip(net.parameters(), back.parameters()):
-            assert np.array_equal(a.astype(np.float32), b.astype(np.float32))
-        # float32 storage: outputs agree once the original is also quantized
-        for _, _, arr in net.parameters():
-            arr[...] = arr.astype(np.float32)
+            assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
         assert np.array_equal(net.forward(vol), back.forward(vol))
 
 
@@ -251,6 +275,8 @@ def test_convlstm_checkpoint_bytes_are_pinned(tmp_path):
     # file layout: wx, wh and b are written as the per-gate (i,f,c,o)
     # tensors end to end, the layout of checkpoints written before the
     # weights were gate-stacked, so those still load under version 1.
+    # The 4 steps run in float32; their parameters lie within 3.4e-8 of the
+    # same steps run in float64.
     rng = np.random.default_rng(9)
     vol = rng.normal(0.5, 0.25, (4, 8, 8))
     spec = NetworkSpec("convlstm", 1, (2, 3), rng_seed=21)
@@ -258,7 +284,7 @@ def test_convlstm_checkpoint_bytes_are_pinned(tmp_path):
                        [(vol, (vol > 0.5).astype(np.float64))])
     save_checkpoint(tmp_path / "net.ckpt", net)
     digest = hashlib.sha256((tmp_path / "net.ckpt").read_bytes()).hexdigest()
-    assert digest == "e6f4a653af991b307d7ce564e5216acfa4bd151ecb4c112d72d1755018e77d92"
+    assert digest == "409e26ac974d0f043266d65f9e24cb1b1a58f564e7344e284f7bb84ec2c69edc"
 
 
 def test_checkpoint_corruption_detected(tmp_path):
@@ -298,6 +324,15 @@ def scatter_params(net, vec):
         offset += arr.size
 
 
+def promote_to_float64(net):
+    """Hold every parameter in float64, so the net computes in float64 and
+    central differences resolve the gradient."""
+    for layer in net._layers:
+        for key in layer.keys:
+            setattr(layer, key, getattr(layer, key).astype(np.float64))
+    return net
+
+
 def stability_signature(net, vol):
     """ReLU masks and pool argmax routes; equal signatures on both sides of a
     perturbation mean no kink was crossed."""
@@ -327,10 +362,10 @@ def network_loss_grad_check(unit_type, seed, epsilon=1e-4):
     """
     rng = np.random.default_rng(seed)
     if unit_type == "conv3d":
-        net = small_conv_net(seed=seed)
+        net = promote_to_float64(small_conv_net(seed=seed))
         dims = (4, 4, 4)
     else:
-        net = small_lstm_net(seed=seed)
+        net = promote_to_float64(small_lstm_net(seed=seed))
         dims = (3, 4, 4)
     vol = rng.normal(0.5, 0.25, dims)
     label = (rng.random(dims) > 0.5).astype(np.float64)

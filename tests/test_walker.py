@@ -291,6 +291,22 @@ def test_refine_theta_zero_runs_full_lattice():
     assert np.allclose(out.x.reshape(-1), sol.x)
 
 
+def test_refine_reports_the_counters_of_its_graph_and_solve():
+    rng = np.random.default_rng(9)
+    maps = rng.random((2, 4, 4, 4))
+    intensity = rng.random((4, 4, 4))
+    out = refine(maps, intensity, 0.5, beta=100.0)
+    graph = assemble(select(maps, 0.5), maps, intensity, beta=100.0)
+    sol = solve(graph)
+    assert (out.candidates, out.edges, out.dirichlet) == (
+        graph.n_candidates, len(graph.edges), len(graph.dirichlet_idx))
+    assert (out.iterations, out.residual) == (sol.iterations, sol.residual)
+    assert 0 < out.residual <= 1e-8
+    all_confident = refine(maps, intensity, 1.0, beta=100.0)
+    assert (all_confident.candidates, all_confident.edges, all_confident.dirichlet,
+            all_confident.iterations) == (0, 0, 0, 0)
+
+
 def test_refine_never_changes_confident_labels():
     rng = np.random.default_rng(8)
     maps = rng.random((2, 4, 4, 4))

@@ -8,6 +8,7 @@ failure, 2 usage error.
 
 import argparse
 import sys
+from time import perf_counter
 
 import numpy as np
 
@@ -34,13 +35,14 @@ def _load_config(args):
 def _cmd_synth(args):
     intensity, label = volio.synth(args.seed, args.dims, args.n_blobs, args.noise_sigma)
     volio.write_volume(args.out_intensity, intensity, "intensity")
-    volio.write_volume(args.out_label, label.astype(np.float64), "label")
+    volio.write_volume(args.out_label, label, "label")
     _log(f"synth: wrote {args.out_intensity} and {args.out_label} "
          f"({args.dims[0]}x{args.dims[1]}x{args.dims[2]}, {args.n_blobs} blobs)")
     return 0
 
 
 def _cmd_train(args):
+    t0 = perf_counter()
     cfg = _load_config(args)
     if len(args.volume) != len(args.label):
         raise ValueError("--volume and --label must be given the same number of times")
@@ -63,17 +65,20 @@ def _cmd_train(args):
         learning_rate=cfg.learning_rate, epochs=args.epochs, batch_size=args.batch_size)
     net, history = network.train_toy(spec, tc, dataset)
     network.save_checkpoint(args.out, net)
+    losses = ", ".join(f"{loss:.6f}" for loss in history)
     _log(f"train: {args.unit} depth={args.depth} widths={widths} "
-         f"loss {history[0]:.6f} -> {history[-1]:.6f}, saved {args.out}")
+         f"epoch losses [{losses}], saved {args.out} in {perf_counter() - t0:.3f} s")
     return 0
 
 
 def _cmd_infer(args):
+    t0 = perf_counter()
     net = network.load_checkpoint(args.checkpoint)
     vol, _ = volio.read_volume(args.volume, expect_kind="intensity")
     prob = network.infer(net, vol, mode=args.mode)
     volio.write_volume(args.out, prob, "prob")
-    _log(f"infer: {args.checkpoint} on {args.volume} -> {args.out} (mode={args.mode})")
+    _log(f"infer: {args.checkpoint} on {args.volume} -> {args.out} (mode={args.mode}) "
+         f"in {perf_counter() - t0:.3f} s")
     return 0
 
 
@@ -106,19 +111,21 @@ def _cmd_select(args):
 
 
 def _cmd_refine(args):
+    t0 = perf_counter()
     cfg = _load_config(args)
     maps = _read_prob_maps(args.probs)
     intensity, _ = volio.read_volume(args.intensity, expect_kind="intensity")
     result = walker.refine(
         maps, intensity, cfg.theta, cfg.beta, tol=cfg.solver_tol,
         include_dirichlet=not args.no_dirichlet)
-    volio.write_volume(args.out, result.labels.astype(np.float64), "label")
+    volio.write_volume(args.out, result.labels, "label")
     if args.out_x:
         volio.write_volume(args.out_x, result.x, "prob")
+    # the wall time precedes the counters, whose group closes the line
     _log(f"refine: K={len(args.probs)} theta={cfg.theta} beta={cfg.beta} -> {args.out} "
-         f"({result.candidates} candidates, {result.edges} edges, "
-         f"{result.dirichlet} Dirichlet terms, {result.iterations} PCG iterations, "
-         f"residual {result.residual:.3e})")
+         f"in {perf_counter() - t0:.3f} s ({result.candidates} candidates, "
+         f"{result.edges} edges, {result.dirichlet} Dirichlet terms, "
+         f"{result.iterations} PCG iterations, residual {result.residual:.3e})")
     return 0
 
 

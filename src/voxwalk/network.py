@@ -20,7 +20,6 @@ import tempfile
 
 import numpy as np
 from dataclasses import dataclass, asdict
-from scipy.special import expit
 
 from .convops import (
     conv3d_forward,
@@ -32,7 +31,7 @@ from .convops import (
     conv2d_forward,
     conv2d_backward,
 )
-from .lstm import gate_math_forward, gate_math_backward
+from .lstm import gate_math_forward, gate_math_backward, sigmoid
 
 UNIT_TYPES = ("conv3d", "convlstm")
 
@@ -329,7 +328,7 @@ class RandomConnectionNet:
         """
         gates = self._gates(mask)
         z, _ = self._forward_full(volume, gates)
-        return expit(z[0])
+        return sigmoid(z[0])
 
     def loss_and_grads(self, volume, label, mask=None):
         """Voxelwise binary cross-entropy and its gradients.
@@ -344,7 +343,7 @@ class RandomConnectionNet:
             raise ValueError(f"label shape {np.shape(label)} does not match volume")
         with np.errstate(over="ignore", invalid="ignore"):
             loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-            dz = (expit(z) - y) / z.size
+            dz = (sigmoid(z) - y) / z.size
         grads = self._backward_full(dz, caches, gates)
         return loss, grads
 

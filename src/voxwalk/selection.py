@@ -7,6 +7,9 @@ the same network and to its co-located nodes in the other networks.  The
 top floor(|V| * theta) voxels by energy are pruned as confident (keeping a
 hard label from the mean probability); the rest form the candidate set for
 graph-based inference.
+
+Selection computes in the dtype of its maps: float32 maps (as volumes are
+read) give float32 energies, and every other input is promoted to float64.
 """
 
 import math
@@ -16,8 +19,14 @@ from dataclasses import dataclass
 
 
 def as_prob_stack(maps):
-    """Stack K probability maps into one [K,D,H,W] array, validating ranges."""
-    arr = np.asarray(maps, dtype=np.float64)
+    """Stack K probability maps into one [K,D,H,W] array, validating ranges.
+
+    float32 maps stay float32 and any other input becomes float64, so the
+    stack is a view of the input whenever it already is one of the two.
+    """
+    arr = np.asarray(maps)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim == 3:
         arr = arr[None]
     if arr.ndim != 4:
@@ -59,13 +68,14 @@ def node_energies(maps):
     cosine is u·u' + v·v'.  Over the ordered pairs of distinct networks the
     co-located cosines then sum to (Σₖ u)² + (Σₖ v)² - K, since each unit
     vector contributes u² + v² = 1 to the full square.  The maps are visited
-    one at a time, so only [D,H,W]-sized temporaries are allocated.
+    one at a time, so only [D,H,W]-sized temporaries are allocated, all in
+    the dtype of the maps.
 
     Lattice edges are truncated at the volume border (no phantom
     neighbors), so border energies are comparably smaller.
     """
     p = as_prob_stack(maps)
-    energy = np.zeros(p.shape[1:])
+    energy = np.zeros(p.shape[1:], dtype=p.dtype)
     sum_u = np.zeros_like(energy)
     sum_v = np.zeros_like(energy)
     for pk in p:

@@ -4,6 +4,10 @@ A volume is stored as a raw little-endian float32 payload in row-major
 order plus a JSON sidecar `<path>.json` describing dims, dtype, ordering
 and the volume kind (intensity, prob, or label).  Labels are stored as
 0.0/1.0 floats.  Writes are atomic (temp file + rename).
+
+Volumes are float32 in memory as on disk: a write casts to float32 once
+and checks the values it will store, and a read returns the payload as
+float32 without widening it.
 """
 
 import json
@@ -48,18 +52,23 @@ def _check_kind(data, kind, path):
     elif data.size:
         lo, hi = data.min(), data.max()  # NaN and +-inf reach one of them
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError(f"{path}: {kind} volume has non-finite values")
+            raise ValueError(f"{path}: {kind} volume has non-finite float32 values")
         if kind == "prob" and (lo < 0.0 or hi > 1.0):
             raise ValueError(f"{path}: prob volumes must have values in [0,1]")
 
 
 def write_volume(path, data, kind):
-    """Write a [D,H,W] volume and its sidecar; values are cast to float32."""
-    data = np.asarray(data, dtype=np.float64)
+    """Write a [D,H,W] volume and its sidecar; values are cast to float32.
+
+    The checks run on the float32 values, so a value beyond the float32
+    range is rejected as non-finite and no file is written.
+    """
+    with np.errstate(over="ignore"):  # overflow to inf is reported by the check
+        data = np.ascontiguousarray(data, dtype="<f4")
     if data.ndim != 3:
         raise ValueError(f"expected a 3-D volume, got shape {data.shape}")
     _check_kind(data, kind, path)
-    payload = np.ascontiguousarray(data, dtype="<f4").tobytes()
+    payload = data.tobytes()
     meta = {
         "dims": [int(s) for s in data.shape],
         "dtype": "f32",
@@ -73,8 +82,9 @@ def write_volume(path, data, kind):
 def read_volume(path, expect_kind=None):
     """Read a volume written by :func:`write_volume`.
 
-    Returns (data as float64 [D,H,W], meta dict).  Payload length, dtype,
-    ordering and value ranges are validated.
+    Returns (data as float32 [D,H,W], meta dict): the payload itself, in
+    one writable native-endian array.  Payload length, dtype, ordering and
+    value ranges are validated.
     """
     try:
         with open(sidecar_path(path), "r", encoding="utf-8") as fh:
@@ -96,13 +106,14 @@ def read_volume(path, expect_kind=None):
         raise ValueError(f"{path}: unknown volume kind {kind!r}")
     if expect_kind is not None and kind != expect_kind:
         raise ValueError(f"{path}: expected a {expect_kind} volume, found {kind}")
+    count = int(np.prod(dims))
     with open(path, "rb") as fh:
-        payload = fh.read()
-    expected = 4 * int(np.prod(dims))
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, dims {dims} require {expected}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+        if size != 4 * count:
+            raise ValueError(
+                f"{path}: payload is {size} bytes, dims {dims} require {4 * count}")
+        data = np.fromfile(fh, dtype="<f4", count=count)
+    data = data.reshape(dims).astype(np.float32, copy=False)  # a copy only on big-endian hosts
     _check_kind(data, kind, path)
     return data, meta
 

@@ -6,6 +6,10 @@ candidate neighbors through squared Gaussian intensity weights, and
 (optionally) to adjacent confident voxels through Dirichlet terms carrying
 their hard labels.  Stationarity yields a sparse symmetric M-matrix system
 solved with Jacobi-preconditioned conjugate gradient.
+
+The volumes stay in their own dtype (float32 as read from disk); only the
+candidate-sized arrays are float64: the gathered priors and intensities,
+the unary terms and weights of the graph, the system and the solution.
 """
 
 import numpy as np
@@ -43,23 +47,37 @@ def edge_weight(ii, ij, beta):
 
 @dataclass
 class IntensityVolume:
-    """Scalar volume rescaled to [0,1] plus the applied normalization record."""
+    """Scalar volume plus the min-max normalization that maps it to [0,1].
 
-    data: np.ndarray
+    The volume is kept in its own dtype, copied only if it is not
+    C-contiguous; :meth:`gather` rescales only the voxels it is asked for,
+    in float64.
+    """
+
+    raw: np.ndarray
     normalization: dict
 
     @classmethod
     def from_raw(cls, volume):
-        volume = np.asarray(volume, dtype=np.float64)
-        if not np.all(np.isfinite(volume)):
+        volume = np.ascontiguousarray(volume)  # so that gather indexes a flat view
+        lo, hi = volume.min(), volume.max()  # NaN and +-inf reach one of them
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("intensity volume contains non-finite values")
-        lo = float(volume.min())
-        hi = float(volume.max())
+        return cls(raw=volume,
+                   normalization={"method": "min-max", "min": float(lo), "max": float(hi)})
+
+    def gather(self, flat_idx):
+        """Normalized float64 intensities of the voxels at flat indices."""
+        lo, hi = self.normalization["min"], self.normalization["max"]
+        values = self.raw.reshape(-1)[flat_idx].astype(np.float64)
         if hi > lo:
-            data = (volume - lo) / (hi - lo)
-        else:
-            data = np.zeros_like(volume)
-        return cls(data=data, normalization={"method": "min-max", "min": lo, "max": hi})
+            return (values - lo) / (hi - lo)
+        return np.zeros_like(values)
+
+    @property
+    def data(self):
+        """The whole normalized volume, in float64."""
+        return self.gather(slice(None)).reshape(self.raw.shape)
 
 
 @dataclass
@@ -129,10 +147,12 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     :class:`IntensityVolume`.  include_dirichlet=False drops the
     candidate-to-confident boundary terms (ablation switch).
 
-    The cost scales with the candidates, not the volume: per axis, each
-    candidate looks one step up and one step down the lattice.  A candidate
-    pair is taken once, from its lower voxel; a confident neighbor on
-    either side gives a Dirichlet term.
+    Past two lattice lookups, an int32 candidate position and an int8
+    confident label per voxel, the cost scales with the candidates: per
+    axis, each candidate looks one step up and one step down the lattice.
+    A candidate pair is taken once, from its lower voxel; a confident
+    neighbor on either side gives a Dirichlet term.  Only the gathered
+    priors and intensities are widened to float64.
     """
     p = as_prob_stack(maps)
     dims = tuple(p.shape[1:])
@@ -140,16 +160,17 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
         raise ValueError(f"selection dims {selection.dims} != map dims {dims}")
     if not isinstance(intensity, IntensityVolume):
         intensity = IntensityVolume.from_raw(intensity)
-    if intensity.data.shape != dims:
+    if intensity.raw.shape != dims:
         raise ValueError(
-            f"intensity dims {intensity.data.shape} != map dims {dims}")
-    n_vox = int(np.prod(dims))
+            f"intensity dims {intensity.raw.shape} != map dims {dims}")
     cand = selection.candidate_idx
-    pos = np.full(n_vox, -1, dtype=np.int64)
-    pos[cand] = np.arange(len(cand))
-    conf_label = np.full(n_vox, -1, dtype=np.int64)
+    n_vox = int(np.prod(dims))
+    if n_vox >= 2 ** 31:
+        raise ValueError(f"assemble takes at most 2**31 - 1 voxels, got {n_vox}")
+    pos = np.full(n_vox, -1, dtype=np.int32)
+    pos[cand] = np.arange(len(cand), dtype=np.int32)
+    conf_label = np.full(n_vox, -1, dtype=np.int8)
     conf_label[selection.confident_idx] = selection.confident_labels
-    ivals = intensity.data.reshape(-1)
 
     edge_i, edge_j, edge_w = [], [], []
     dir_i, dir_l, dir_w = [], [], []
@@ -158,10 +179,11 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
         stride = int(np.prod(dims[ax + 1:]))
         a = cand[coord < dims[ax] - 1]
         b = a + stride
-        w = edge_weight(ivals[a], ivals[b], beta)
-        both = pos[b] >= 0
+        w = edge_weight(intensity.gather(a), intensity.gather(b), beta)
+        pb = pos[b]
+        both = pb >= 0
         edge_i.append(pos[a[both]])
-        edge_j.append(pos[b[both]])
+        edge_j.append(pb[both])
         edge_w.append(w[both])
         if include_dirichlet:
             dir_i.append(pos[a[~both]])
@@ -173,10 +195,10 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
             a, b = a[b_only], b[b_only]
             dir_i.append(pos[b])
             dir_l.append(conf_label[a])
-            dir_w.append(edge_weight(ivals[a], ivals[b], beta))
+            dir_w.append(edge_weight(intensity.gather(a), intensity.gather(b), beta))
 
     edges = np.stack([np.concatenate(edge_i), np.concatenate(edge_j)], axis=1)
-    unary_fg = p.reshape(p.shape[0], -1)[:, cand].T.copy()
+    unary_fg = np.ascontiguousarray(p.reshape(p.shape[0], -1)[:, cand].T, dtype=np.float64)
     return CompactGraph(
         dims=dims,
         candidates=cand.copy(),
@@ -280,14 +302,15 @@ def refine(maps, intensity, theta, beta, tol=1e-8, max_iters=None,
     """Full node-selection + label-inference pass over K probability maps.
 
     Confident voxels keep their hard labels; candidate voxels take the
-    walker labels.  Returns a RefineResult whose x field carries the solved
-    probabilities (confident voxels hold their label value).
+    walker labels.  Returns a RefineResult whose x field, in the dtype of
+    the maps, carries the solved probabilities (confident voxels hold their
+    label value).
     """
     p = as_prob_stack(maps)
     dims = tuple(p.shape[1:])
     sel = select(p, theta)
     labels = np.zeros(int(np.prod(dims)), dtype=np.uint8)
-    xfield = np.zeros(int(np.prod(dims)))
+    xfield = np.zeros(int(np.prod(dims)), dtype=p.dtype)
     labels[sel.confident_idx] = sel.confident_labels
     xfield[sel.confident_idx] = sel.confident_labels
     counters = {}

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,55 @@ def test_refine_logs_its_counters(tmp_path, scene):
         want.candidates, want.edges, want.dirichlet, want.iterations]
     assert want.candidates > 0 and want.iterations > 0
     assert got.group(5) == f"{want.residual:.3e}"
+
+
+def test_refine_labels_equal_the_library_on_the_read_arrays(tmp_path, scene):
+    """The CLI fuses the float32 arrays read_volume returns, nothing wider."""
+    intensity, probs = scene
+    out = run_cli("refine", "--probs", *probs, "--intensity", intensity, "--theta", "0.5",
+                  "--out", tmp_path / "o.raw", "--out-x", tmp_path / "x.raw")
+    assert out.returncode == 0, out.stderr
+    maps = np.stack([read_volume(p)[0] for p in probs])
+    assert maps.dtype == np.float32
+    cfg = PipelineConfig()
+    want = walker.refine(maps, read_volume(intensity)[0], 0.5, cfg.beta, tol=cfg.solver_tol)
+    assert want.candidates > 0
+    assert read_volume(tmp_path / "o.raw")[0].tobytes() == \
+        want.labels.astype(np.float32).tobytes()
+    assert read_volume(tmp_path / "x.raw")[0].tobytes() == want.x.tobytes()
+
+
+def test_train_infer_and_refine_log_their_wall_time(tmp_path, scene):
+    """train, infer and refine each log one line with the command's wall
+    time; train's line ends with it, after the loss of every epoch."""
+    intensity, probs = scene
+    label = tmp_path / "l.raw"
+    ckpt = tmp_path / "net.ckpt"
+    args = {
+        "train": ["--unit", "conv3d", "--volume", intensity, "--label", label,
+                  "--depth", 1, "--widths", "2,3", "--learning-rate", 0.5, "--epochs", 3,
+                  "--seed", 4, "--out", ckpt],
+        "infer": ["--checkpoint", ckpt, "--volume", intensity, "--out", tmp_path / "p.raw"],
+        "refine": ["--probs", *probs, "--intensity", intensity, "--theta", "0.5",
+                   "--out", tmp_path / "o.raw"],
+    }
+    lines = {}
+    for command, argv in args.items():
+        t0 = time.perf_counter()
+        out = run_cli(command, *argv)
+        elapsed = time.perf_counter() - t0
+        assert out.returncode == 0, out.stderr
+        line, = out.stderr.splitlines()
+        end = r" \(" if command == "refine" else "$"  # refine's counters close its line
+        wall = re.search(r" in (\d+\.\d{3}) s" + end, line)
+        assert line.startswith(command + ":") and wall, line
+        assert 0.0 <= float(wall.group(1)) <= elapsed
+        lines[command] = line
+    spec = network.NetworkSpec("conv3d", 1, (2, 3), alpha=PipelineConfig().alpha, rng_seed=4)
+    _, history = network.train_toy(spec, network.TrainConfig(learning_rate=0.5, epochs=3),
+                                   [(read_volume(intensity)[0], read_volume(label)[0])])
+    losses = ", ".join(f"{loss:.6f}" for loss in history)
+    assert f"epoch losses [{losses}], saved {ckpt}" in lines["train"]
 
 
 def test_whole_pipeline_runs_and_infer_matches_the_library(tmp_path):

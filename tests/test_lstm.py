@@ -4,12 +4,18 @@ The unit starts every sequence from a zero state, so the oracles are
 chained step by step from zeros over the same sequence.
 """
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from voxwalk.lstm import gate_math_forward
+from voxwalk.lstm import gate_math_forward, sigmoid
 from voxwalk.network import ConvLSTMUnit
 
 from oracles import convlstm_oracle, lstm_oracle, numeric_grad
@@ -46,6 +52,28 @@ def chained_oracle(oracle, params, xs):
         h, c = oracle(x, h, c, params)
         hs.append(h)
     return hs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_stays_within_one_eps_of_expit(dtype):
+    x = np.linspace(-100.0, 100.0, 20001, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning at either end
+        got = sigmoid(x)
+    assert got.dtype == dtype
+    err = np.abs(got.astype(np.float64) - expit(x).astype(np.float64))
+    assert err.max() <= np.finfo(dtype).eps
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """The package needs no scipy.special; importing it costs import time."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, voxwalk; sys.exit('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr or "import voxwalk loaded scipy.special"
 
 
 def test_lstm_zero_parameters_give_zero_state():

@@ -43,6 +43,30 @@ def test_node_energies_match_loop_oracle():
             assert math.isclose(energies.reshape(-1)[flat], want, rel_tol=1e-10)
 
 
+def test_prob_stack_keeps_float32_and_promotes_other_input():
+    f32 = np.full((2, 2, 3, 2), 0.25, dtype=np.float32)
+    f64 = f32.astype(np.float64)
+    for maps in (f32, f64):
+        stack = as_prob_stack(maps)
+        assert stack.dtype == maps.dtype and np.shares_memory(stack, maps)
+    assert as_prob_stack(list(f32)).dtype == np.float32
+    for other in (f32.astype(np.float16), f64.astype(np.int64), f64 > 0, f64.tolist()):
+        assert as_prob_stack(other).dtype == np.float64
+
+
+def test_float32_node_energies_match_loop_oracle():
+    # float32 eps is 1.2e-7; a few dozen rounded terms stay well inside 1e-5
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 5):
+        maps = rng.random((k, 2, 3, 4), dtype=np.float32)
+        energies = node_energies(maps)
+        assert energies.dtype == np.float32
+        wide = maps.astype(np.float64)
+        for flat in range(maps[0].size):
+            want = node_energy_oracle(wide, flat)
+            assert math.isclose(energies.reshape(-1)[flat], want, rel_tol=1e-5)
+
+
 def test_energy_symmetric_in_network_order():
     rng = np.random.default_rng(1)
     maps = rng.random((3, 3, 3, 3))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,29 @@ def test_roundtrip_is_bit_identical(tmp_path):
     assert meta["dims"] == [4, 5, 6]
     write_volume(tmp_path / "again.raw", back, "intensity")
     assert (tmp_path / "vol.raw").read_bytes() == (tmp_path / "again.raw").read_bytes()
+
+
+def test_read_returns_the_payload_as_writable_native_float32(tmp_path):
+    path = tmp_path / "v.raw"
+    data = np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 8
+    write_volume(path, data, "intensity")
+    back, _ = read_volume(path)
+    assert back.dtype == np.float32 and back.dtype.isnative
+    assert back.flags.writeable and back.flags.c_contiguous
+    assert np.array_equal(back, data)
+    back[0, 0, 0] = 5.0  # the caller owns the array
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_value_beyond_float32_range_rejected_at_write(tmp_path, value):
+    # finite in float64, inf once stored: the file could never be read back
+    path = tmp_path / "big.raw"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite") as info:
+            write_volume(path, np.full((2, 2, 2), value), "intensity")
+    assert str(path) in str(info.value)
+    assert not path.exists() and not (tmp_path / sidecar_path("big.raw")).exists()
 
 
 def test_sidecar_contents(tmp_path):
@@ -86,8 +110,9 @@ def test_roundtrip_property(tmp_path_factory, volume):
     path = tmp_path_factory.mktemp("roundtrip") / "v.raw"
     write_volume(path, data, kind)
     back, meta = read_volume(path, expect_kind=kind)
-    assert back.dtype == np.float64 and back.shape == data.shape
-    assert back.tobytes() == data.tobytes()  # bit-identical, -0.0 included
+    assert back.dtype == np.float32 and back.shape == data.shape
+    # bit-identical, -0.0 included
+    assert back.tobytes() == data.astype(np.float32).tobytes()
     assert meta["dims"] == list(data.shape)
 
 

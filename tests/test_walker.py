@@ -256,6 +256,41 @@ def test_intensity_normalization_record():
     assert np.all(flat.data == 0.0)
 
 
+def test_intensity_volume_keeps_the_volume_and_gathers_float64():
+    raw = np.array([[[2.0, 6.0, 3.0]]], dtype=np.float32)
+    vol = IntensityVolume.from_raw(raw)
+    assert vol.raw is raw
+    got = vol.gather(np.array([2, 0]))
+    assert got.dtype == np.float64 and np.array_equal(got, [0.25, 0.0])
+
+
+def test_float32_inputs_give_the_float64_graph_of_their_widened_values():
+    """Only candidate-sized arrays are widened, so the graph equals the one
+    built from float64 copies of the same values, bit for bit."""
+    rng = np.random.default_rng(12)
+    maps = rng.random((3, 5, 6, 7), dtype=np.float32)
+    intensity = rng.normal(0.5, 0.2, (5, 6, 7)).astype(np.float32)
+    sel = select(maps, 0.6)
+    narrow = assemble(sel, maps, intensity, beta=30.0)
+    wide = assemble(sel, maps.astype(np.float64), intensity.astype(np.float64), beta=30.0)
+    for name in ("edges", "edge_weights", "unary_fg", "unary_bg", "dirichlet_idx",
+                 "dirichlet_labels", "dirichlet_weights"):
+        got, want = getattr(narrow, name), getattr(wide, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    for name in ("edge_weights", "unary_fg", "unary_bg", "dirichlet_weights"):
+        assert getattr(narrow, name).dtype == np.float64, name
+    a, b = build_system(narrow)
+    assert a.dtype == b.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_refine_holds_x_in_the_dtype_of_the_maps(dtype):
+    maps, intensity = small_scene()
+    out = refine(maps.astype(dtype), intensity.astype(dtype), 0.5, beta=100.0)
+    assert out.x.dtype == dtype and out.labels.dtype == np.uint8
+    assert out.candidates > 0
+
+
 def test_dirichlet_terms_pull_toward_confident_labels():
     # one candidate voxel surrounded by confident foreground in a 3x1x1 line
     maps = np.array([[[[0.95]], [[0.5]], [[0.95]]]])  # middle voxel ambiguous

@@ -15,7 +15,6 @@ from .network import (
 from .selection import SelectionResult, select
 from .walker import (
     CompactGraph,
-    IntensityVolume,
     RefineResult,
     WalkerSolution,
     assemble,
@@ -23,7 +22,7 @@ from .walker import (
     refine,
     solve,
 )
-from .metrics import LabelVolume, dice, stage_report
+from .metrics import dice, stage_report
 from .volio import read_volume, synth, write_volume
 from .config import PipelineConfig
 

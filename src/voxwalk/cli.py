@@ -61,8 +61,7 @@ def _cmd_train(args):
         alpha=cfg.alpha,
         rng_seed=args.seed if args.seed is not None else cfg.seeds.get("network", 0),
     )
-    tc = network.TrainConfig(
-        learning_rate=cfg.learning_rate, epochs=args.epochs, batch_size=args.batch_size)
+    tc = network.TrainConfig(learning_rate=cfg.learning_rate, epochs=args.epochs)
     net, history = network.train_toy(spec, tc, dataset)
     network.save_checkpoint(args.out, net)
     losses = ", ".join(f"{loss:.6f}" for loss in history)
@@ -180,7 +179,6 @@ def build_parser():
     p.add_argument("--alpha", type=float)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)

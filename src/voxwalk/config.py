@@ -26,7 +26,8 @@ class PipelineConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not (isinstance(self.seeds, dict)
-                and all(isinstance(v, numbers.Integral) for v in self.seeds.values())):
+                and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                        for v in self.seeds.values())):
             raise ValueError(f"seeds must map names to integers, got {self.seeds!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")

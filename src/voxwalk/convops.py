@@ -1,4 +1,4 @@
-"""Dense tensor operations: 3D/2D convolution, pooling, upsampling.
+"""Dense tensor operations: 3D/2D convolution, max pooling, upsampling.
 
 Everything works on plain numpy arrays in channels-first layout
 ([maps, depth, height, width] for volumes).  Each trainable op comes as a
@@ -11,8 +11,9 @@ kernel tap by kernel tap, into a [maps·d·k·k, voxels] column matrix, and one
 BLAS matmul per slab gives the output (W @ cols), the weight gradient
 (G @ colsᵀ) or the column gradient (Wᵀ @ G, added back into the input one
 tap at a time).  The slab is as many planes as fit in `_SLAB_BYTES`, so the
-column buffer stays bounded whatever the volume size.  conv2d is the same
-kernel at depth 1.
+column buffer stays bounded whatever the volume size.  conv2d, the
+ConvLSTM's per-step state convolution, is the same kernel at depth 1 with
+'same' padding and no bias.
 
 Operations compute in numpy's promoted dtype of their arguments, and the
 column buffer takes that dtype too.  The network holds float32 parameters
@@ -152,28 +153,24 @@ def conv3d_backward(grad, xp, weights, stride, pads):
     return dx, dw.reshape(weights.shape), grad.sum(axis=(1, 2, 3))
 
 
-def conv2d_forward(x, weights, bias=None, padding="same"):
-    """Cross-correlate [m,H,W] (or [m,L,H,W] time-batched) input with
-    [q,m,k,k] kernels at unit stride.  Returns (output, padded input, pads)."""
+def conv2d_forward(x, weights):
+    """Cross-correlate a [m,H,W] map with [q,m,k,k] kernels at unit stride,
+    'same'-padded and without bias.  Returns (output, padded input, pads)."""
     x = np.asarray(x)
     weights = np.asarray(weights)
-    if x.ndim not in (3, 4):
-        raise ValueError(f"conv2d input must be [m,H,W] or [m,L,H,W], got shape {x.shape}")
-    if weights.ndim != 4:
-        raise ValueError(f"conv2d weights must be 4-D [q,m,k,k], got shape {weights.shape}")
-    if x.ndim == 3:
-        y, xp, pads = conv3d_forward(x[:, None], weights[:, :, None], bias, padding=padding)
-        return y[:, 0], xp[:, 0], [pads[0]] + pads[2:]
-    return conv3d_forward(x, weights[:, :, None], bias, padding=padding)
+    if x.ndim != 3 or weights.ndim != 4:
+        raise ValueError(f"conv2d takes [m,H,W] input and [q,m,k,k] weights, "
+                         f"got shapes {x.shape} and {weights.shape}")
+    y, xp, pads = conv3d_forward(x[:, None], weights[:, :, None], None, padding="same")
+    return y[:, 0], xp[:, 0], [pads[0]] + pads[2:]
 
 
-def conv2d_backward(grad, xp, weights, pads, with_bias=True):
-    """Gradients of conv2d_forward w.r.t. input, weights and bias."""
-    single = grad.ndim == 3
-    if single:
-        grad, xp, pads = grad[:, None], xp[:, None], [pads[0], (0, 0)] + list(pads[1:])
-    dx, dweights, dbias = conv3d_backward(grad, xp, weights[:, :, None], (1, 1, 1), pads)
-    return (dx[:, 0] if single else dx), dweights[:, :, 0], (dbias if with_bias else None)
+def conv2d_backward(grad, xp, weights, pads):
+    """Gradients (dx, dweights) of :func:`conv2d_forward`."""
+    pads = [pads[0], (0, 0)] + list(pads[1:])
+    dx, dweights, _ = conv3d_backward(grad[:, None], xp[:, None], weights[:, :, None],
+                                      (1, 1, 1), pads)
+    return dx[:, 0], dweights[:, :, 0]
 
 
 def _check_window(x, window):
@@ -202,37 +199,25 @@ def _pool_view(x, window):
     return flat, out, perm
 
 
-def pool3d_forward(x, window, mode):
-    """Non-overlapping pooling; window is per-axis and must divide each extent.
-
-    Returns (pooled, cache) where cache feeds :func:`pool3d_backward`.
+def pool3d_forward(x, window):
+    """Non-overlapping max pooling; window is per-axis and must divide each
+    extent.  Returns (pooled, cache) where cache feeds :func:`pool3d_backward`.
     """
     x = np.asarray(x)
     window = _check_window(x, window)
-    if mode not in ("max", "avg"):
-        raise ValueError(f"mode must be 'max' or 'avg', got {mode!r}")
     flat, out, perm = _pool_view(x, window)
-    if mode == "max":
-        arg = flat.argmax(axis=-1)
-        y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    else:
-        arg = None
-        y = flat.mean(axis=-1)
-    cache = (x.shape, window, mode, out, perm, arg)
-    return y, cache
+    arg = flat.argmax(axis=-1)
+    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    return y, (x.shape, window, out, perm, arg)
 
 
 def pool3d_backward(grad, cache):
-    shape, window, mode, out, perm, arg = cache
-    wflat = int(np.prod(window))
-    gflat = np.zeros(out + (wflat,), dtype=grad.dtype)
-    if mode == "max":
-        np.put_along_axis(gflat, arg[..., None], grad[..., None], axis=-1)
-    else:
-        gflat += (grad / wflat)[..., None]
+    """Routes each pooled gradient to the voxel that held its block's maximum."""
+    shape, window, out, perm, arg = cache
+    gflat = np.zeros(out + (int(np.prod(window)),), dtype=grad.dtype)
+    np.put_along_axis(gflat, arg[..., None], grad[..., None], axis=-1)
     inv = np.argsort(perm)
-    gx = gflat.reshape(out + window).transpose(inv).reshape(shape)
-    return gx
+    return gflat.reshape(out + window).transpose(inv).reshape(shape)
 
 
 def upsample(x, factor):

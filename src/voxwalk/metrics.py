@@ -3,42 +3,14 @@
 import io
 
 import numpy as np
-from dataclasses import dataclass
-
-
-@dataclass
-class LabelVolume:
-    """Binary segmentation with an optional real-valued solution field."""
-
-    labels: np.ndarray
-    x: np.ndarray = None
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels)
-        bad = ~np.isin(self.labels, (0, 1))
-        if bad.any():
-            raise ValueError("labels must be 0 or 1")
-        if self.x is not None and np.shape(self.x) != self.labels.shape:
-            raise ValueError(
-                f"x field shape {np.shape(self.x)} != labels shape {self.labels.shape}")
-
-    @property
-    def dims(self):
-        return self.labels.shape
-
-
-def _label_array(v):
-    return v.labels if isinstance(v, LabelVolume) else np.asarray(v)
 
 
 def dice(a, b):
     """Dice overlap 2|A∩B| / (|A|+|B|); 1.0 when both volumes are empty."""
-    a = _label_array(a)
-    b = _label_array(b)
+    a = np.asarray(a, dtype=bool)
+    b = np.asarray(b, dtype=bool)
     if a.shape != b.shape:
         raise ValueError(f"volume dims differ: {a.shape} vs {b.shape}")
-    a = a.astype(bool)
-    b = b.astype(bool)
     total = int(a.sum()) + int(b.sum())
     if total == 0:
         return 1.0
@@ -48,7 +20,7 @@ def dice(a, b):
 def stage_report(ground_truth, stages):
     """Dice of each named pipeline stage against the ground truth.
 
-    stages: sequence of (name, LabelVolume-or-array).  Returns a list of
+    stages: sequence of (name, label array).  Returns a list of
     (name, dice) rows in input order.
     """
     return [(name, dice(ground_truth, vol)) for name, vol in stages]

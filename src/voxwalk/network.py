@@ -80,18 +80,18 @@ class NetworkSpec:
 
 @dataclass
 class TrainConfig:
-    """Toy trainer settings: plain SGD on voxelwise binary cross-entropy."""
+    """Toy trainer settings: plain SGD on voxelwise binary cross-entropy,
+    one step per training sample."""
 
     learning_rate: float = 1e-4
     epochs: int = 1
-    batch_size: int = 1
 
     def __post_init__(self):
         # learning_rate 0 is allowed so a no-op training run can be tested
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 def sample_mask(alpha, depth, rng):
@@ -163,7 +163,7 @@ class ConvLSTMUnit:
         outs = np.empty((n, length) + x.shape[2:], dtype=x.dtype)
         steps = []
         for t in range(length):
-            hterm, hp, hpads = conv2d_forward(h, self.wh, None, padding="same")
+            hterm, hp, hpads = conv2d_forward(h, self.wh)
             h, c, gcache = gate_math_forward(xterm[:, t] + hterm, c)
             outs[:, t] = h
             steps.append((hp, hpads, gcache))
@@ -180,7 +180,7 @@ class ConvLSTMUnit:
             hp, hpads, gcache = steps[t]
             dz, dc_prev = gate_math_backward(dy[:, t] + dh_next, dc_next, gcache)
             dxterm[:, t] = dz
-            dh_prev, dwh_t, _ = conv2d_backward(dz, hp, self.wh, hpads, with_bias=False)
+            dh_prev, dwh_t = conv2d_backward(dz, hp, self.wh, hpads)
             dwh += dwh_t
             dh_next = dh_prev
             dc_next = dc_prev
@@ -276,7 +276,7 @@ class RandomConnectionNet:
         cur = x
         for i, enc in enumerate(self.encoders):
             if i > 0:
-                cur, pc = pool3d_forward(cur, self.pool_window, "max")
+                cur, pc = pool3d_forward(cur, self.pool_window)
                 pool_caches.append(pc)
             cur, uc = enc.forward(cur)
             enc_outs.append(cur)
@@ -366,13 +366,9 @@ def infer(net, volume, mode="expectation"):
     raise ValueError(f"mode must be 'expectation' or 'all-true', got {mode!r}")
 
 
-def _batches(items, size):
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
-
-
 def train_toy(spec, config, dataset, connection_mode="sampled"):
-    """SGD training with a freshly sampled connection mask every iteration.
+    """SGD training, one step per sample, with a freshly sampled connection
+    mask every step.
 
     dataset: sequence of (volume, binary label volume) pairs.
     connection_mode 'all-true' trains the fixed-connection network instead.
@@ -394,32 +390,20 @@ def train_toy(spec, config, dataset, connection_mode="sampled"):
     iteration = 0
     for _ in range(config.epochs):
         epoch_losses = []
-        for batch in _batches(list(dataset), config.batch_size):
+        for vol, lab in dataset:
             if connection_mode == "sampled":
                 mask = sample_mask(spec.alpha, spec.depth, mask_rng)
             else:
                 mask = all_true
-            loss = 0.0
-            acc = None
             # overflow on the way to divergence is reported by the finiteness
             # check below, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                for vol, lab in batch:
-                    l, grads = net.loss_and_grads(vol, lab, mask=mask)
-                    loss += l
-                    if acc is None:
-                        acc = grads
-                    else:
-                        for a, g in zip(acc, grads):
-                            for key in a:
-                                a[key] += g[key]
-            loss /= len(batch)
+                loss, grads = net.loss_and_grads(vol, lab, mask=mask)
             finite = np.isfinite(loss) and all(
-                np.isfinite(d).all() for g in acc for d in g.values())
+                np.isfinite(d).all() for g in grads for d in g.values())
             if not finite:
                 raise TrainingDiverged(iteration, loss)
-            scale = config.learning_rate / len(batch)
-            net.apply_gradients(acc, scale)
+            net.apply_gradients(grads, config.learning_rate)
             epoch_losses.append(loss)
             iteration += 1
         history.append(float(np.mean(epoch_losses)))

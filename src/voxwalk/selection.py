@@ -51,7 +51,6 @@ class SelectionResult:
     confident_idx: np.ndarray     # flat voxel indices, ascending
     confident_labels: np.ndarray  # hard 0/1 label per confident voxel
     candidate_idx: np.ndarray     # flat voxel indices, ascending
-    theta: float
 
     def __post_init__(self):
         n = int(np.prod(self.dims))
@@ -123,5 +122,4 @@ def select(maps, theta):
         confident_idx=conf,
         confident_labels=labels,
         candidate_idx=cand,
-        theta=float(theta),
     )

@@ -16,7 +16,6 @@ import numpy as np
 from dataclasses import dataclass, field
 from scipy import sparse
 
-from .metrics import LabelVolume
 from .selection import as_prob_stack, select
 
 
@@ -41,43 +40,7 @@ def edge_weight(ii, ij, beta):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     ii = np.asarray(ii, dtype=np.float64)
     ij = np.asarray(ij, dtype=np.float64)
-    out = np.exp(-beta * (ii - ij) ** 2)
-    return float(out) if out.ndim == 0 else out
-
-
-@dataclass
-class IntensityVolume:
-    """Scalar volume plus the min-max normalization that maps it to [0,1].
-
-    The volume is kept in its own dtype, copied only if it is not
-    C-contiguous; :meth:`gather` rescales only the voxels it is asked for,
-    in float64.
-    """
-
-    raw: np.ndarray
-    normalization: dict
-
-    @classmethod
-    def from_raw(cls, volume):
-        volume = np.ascontiguousarray(volume)  # so that gather indexes a flat view
-        lo, hi = volume.min(), volume.max()  # NaN and +-inf reach one of them
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("intensity volume contains non-finite values")
-        return cls(raw=volume,
-                   normalization={"method": "min-max", "min": float(lo), "max": float(hi)})
-
-    def gather(self, flat_idx):
-        """Normalized float64 intensities of the voxels at flat indices."""
-        lo, hi = self.normalization["min"], self.normalization["max"]
-        values = self.raw.reshape(-1)[flat_idx].astype(np.float64)
-        if hi > lo:
-            return (values - lo) / (hi - lo)
-        return np.zeros_like(values)
-
-    @property
-    def data(self):
-        """The whole normalized volume, in float64."""
-        return self.gather(slice(None)).reshape(self.raw.shape)
+    return np.exp(-beta * (ii - ij) ** 2)
 
 
 @dataclass
@@ -128,23 +91,44 @@ class WalkerSolution:
 
 
 @dataclass
-class RefineResult(LabelVolume):
+class RefineResult:
     """Fused labels and solved field, with the counters of the pass that
     made them: candidate voxels, graph edges, Dirichlet terms, PCG
     iterations and the final relative residual (all 0 with no candidates)."""
 
-    candidates: int = 0
-    edges: int = 0
-    dirichlet: int = 0
-    iterations: int = 0
-    residual: float = 0.0
+    labels: np.ndarray
+    x: np.ndarray
+    candidates: int
+    edges: int
+    dirichlet: int
+    iterations: int
+    residual: float
+
+
+def _intensity_gather(volume):
+    """Min-max normalization of an intensity volume to [0,1], applied only
+    to the voxels asked for: returns a function from flat voxel indices to
+    their normalized intensities in float64.  A flat volume maps to 0, a
+    zero-voxel one is accepted and a non-finite one is rejected."""
+    flat = volume.reshape(-1)
+    # NaN and +-inf reach the min or the max
+    lo, hi = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("intensity volume contains non-finite values")
+    lo, hi = float(lo), float(hi)
+
+    def gather(idx):
+        values = flat[idx].astype(np.float64)
+        return (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
+
+    return gather
 
 
 def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     """Build the compact graph for a selection over K probability maps.
 
-    intensity may be a raw volume (min-max normalized here) or an
-    :class:`IntensityVolume`.  include_dirichlet=False drops the
+    intensity is the raw [D,H,W] volume; the voxels the graph reads are
+    min-max normalized to [0,1].  include_dirichlet=False drops the
     candidate-to-confident boundary terms (ablation switch).
 
     Past two lattice lookups, an int32 candidate position and an int8
@@ -158,11 +142,10 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     dims = tuple(p.shape[1:])
     if selection.dims != dims:
         raise ValueError(f"selection dims {selection.dims} != map dims {dims}")
-    if not isinstance(intensity, IntensityVolume):
-        intensity = IntensityVolume.from_raw(intensity)
-    if intensity.raw.shape != dims:
-        raise ValueError(
-            f"intensity dims {intensity.raw.shape} != map dims {dims}")
+    intensity = np.asarray(intensity)
+    if intensity.shape != dims:
+        raise ValueError(f"intensity dims {intensity.shape} != map dims {dims}")
+    gather = _intensity_gather(intensity)
     cand = selection.candidate_idx
     n_vox = int(np.prod(dims))
     if n_vox >= 2 ** 31:
@@ -179,7 +162,7 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
         stride = int(np.prod(dims[ax + 1:]))
         a = cand[coord < dims[ax] - 1]
         b = a + stride
-        w = edge_weight(intensity.gather(a), intensity.gather(b), beta)
+        w = edge_weight(gather(a), gather(b), beta)
         pb = pos[b]
         both = pb >= 0
         edge_i.append(pos[a[both]])
@@ -195,7 +178,7 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
             a, b = a[b_only], b[b_only]
             dir_i.append(pos[b])
             dir_l.append(conf_label[a])
-            dir_w.append(edge_weight(intensity.gather(a), intensity.gather(b), beta))
+            dir_w.append(edge_weight(gather(a), gather(b), beta))
 
     edges = np.stack([np.concatenate(edge_i), np.concatenate(edge_j)], axis=1)
     unary_fg = np.ascontiguousarray(p.reshape(p.shape[0], -1)[:, cand].T, dtype=np.float64)
@@ -297,29 +280,26 @@ def solve(graph, tol=1e-8, max_iters=None):
     return WalkerSolution(x, labels, iterations, residual)
 
 
-def refine(maps, intensity, theta, beta, tol=1e-8, max_iters=None,
-           include_dirichlet=True):
+def refine(maps, intensity, theta, beta, tol=1e-8, include_dirichlet=True):
     """Full node-selection + label-inference pass over K probability maps.
 
-    Confident voxels keep their hard labels; candidate voxels take the
-    walker labels.  Returns a RefineResult whose x field, in the dtype of
-    the maps, carries the solved probabilities (confident voxels hold their
-    label value).
+    Runs select, assemble and solve, also when no voxel is a candidate, so
+    the intensity, beta and tol are checked at every theta.  Confident
+    voxels keep their hard labels; candidate voxels take the walker labels.
+    Returns a RefineResult whose x field, in the dtype of the maps, carries
+    the solved probabilities (confident voxels hold their label value).
     """
     p = as_prob_stack(maps)
     dims = tuple(p.shape[1:])
     sel = select(p, theta)
+    graph = assemble(sel, p, intensity, beta, include_dirichlet=include_dirichlet)
+    sol = solve(graph, tol=tol)
     labels = np.zeros(int(np.prod(dims)), dtype=np.uint8)
     xfield = np.zeros(int(np.prod(dims)), dtype=p.dtype)
-    labels[sel.confident_idx] = sel.confident_labels
-    xfield[sel.confident_idx] = sel.confident_labels
-    counters = {}
-    if len(sel.candidate_idx):
-        graph = assemble(sel, p, intensity, beta, include_dirichlet=include_dirichlet)
-        sol = solve(graph, tol=tol, max_iters=max_iters)
-        labels[sel.candidate_idx] = sol.labels
-        xfield[sel.candidate_idx] = sol.x
-        counters = dict(candidates=graph.n_candidates, edges=len(graph.edges),
+    labels[sel.confident_idx] = xfield[sel.confident_idx] = sel.confident_labels
+    labels[sel.candidate_idx] = sol.labels
+    xfield[sel.candidate_idx] = sol.x
+    return RefineResult(labels.reshape(dims), xfield.reshape(dims),
+                        candidates=graph.n_candidates, edges=len(graph.edges),
                         dirichlet=len(graph.dirichlet_idx), iterations=sol.iterations,
                         residual=sol.residual)
-    return RefineResult(labels.reshape(dims), xfield.reshape(dims), **counters)

@@ -38,13 +38,13 @@ def conv3d_oracle(x, weights, bias, padding="valid"):
     return y
 
 
-def pool_oracle(x, window, mode):
-    """Loop-based non-overlapping pooling over an arbitrary-rank tensor."""
+def pool_oracle(x, window):
+    """Loop-based non-overlapping max pooling over an arbitrary-rank tensor."""
     out_shape = tuple(s // w for s, w in zip(x.shape, window))
     y = np.zeros(out_shape)
     for idx in np.ndindex(out_shape):
         block = x[tuple(slice(i * w, (i + 1) * w) for i, w in zip(idx, window))]
-        y[idx] = block.max() if mode == "max" else block.mean()
+        y[idx] = block.max()
     return y
 
 

@@ -174,6 +174,29 @@ def test_refine_rejects_maps_of_different_dims(tmp_path, scene):
     assert not (tmp_path / "o.raw").exists()
 
 
+@pytest.mark.parametrize("theta", ["0.5", "1"])
+def test_refine_rejects_intensity_of_other_dims_at_every_theta(tmp_path, theta):
+    """At theta 1 no voxel is a candidate; the intensity is checked all the same."""
+    intensity, prob = tmp_path / "i.raw", tmp_path / "p.raw"
+    write_volume(intensity, np.zeros((3, 3, 3)), "intensity")
+    write_volume(prob, np.full((4, 4, 4), 0.3), "prob")
+    out = run_cli("refine", "--probs", prob, "--intensity", intensity, "--theta", theta,
+                  "--out", tmp_path / "o.raw")
+    assert_one_error_line(out)
+    assert "dims" in out.stderr
+    assert not (tmp_path / "o.raw").exists()
+
+
+def test_refine_of_a_zero_voxel_volume_succeeds(tmp_path):
+    intensity, prob = tmp_path / "i.raw", tmp_path / "p.raw"
+    write_volume(intensity, np.zeros((0, 4, 4)), "intensity")
+    write_volume(prob, np.zeros((0, 4, 4)), "prob")
+    out = run_cli("refine", "--probs", prob, "--intensity", intensity,
+                  "--out", tmp_path / "o.raw")
+    assert out.returncode == 0, out.stderr
+    assert read_volume(tmp_path / "o.raw")[0].shape == (0, 4, 4)
+
+
 def test_refine_logs_its_counters(tmp_path, scene):
     intensity, probs = scene
     out = run_cli("refine", "--probs", *probs, "--intensity", intensity, "--theta", "0.5",
@@ -282,6 +305,7 @@ def test_whole_pipeline_runs_and_infer_matches_the_library(tmp_path):
     ({"theta": "0.5"}, "theta"),
     ({"seeds": [1]}, "seeds"),
     (["theta", 0.5], "JSON object"),
+    ({"seeds": {"network": True}}, "seeds"),
 ])
 def test_refine_rejects_malformed_config(tmp_path, scene, config, key):
     intensity, probs = scene

@@ -21,8 +21,8 @@ def conv3d(x, w, b, stride=(1, 1, 1), padding="valid"):
     return conv3d_forward(x, w, b, stride, padding)[0]
 
 
-def pool3d(x, window, mode):
-    return pool3d_forward(x, window, mode)[0]
+def pool3d(x, window):
+    return pool3d_forward(x, window)[0]
 
 
 def test_conv3d_identity_kernel():
@@ -194,13 +194,13 @@ def test_conv_slab_size_does_not_change_results(monkeypatch):
     x = rng.normal(size=(3, 6, 5, 4))
     w = rng.normal(size=(2, 3, 3, 3, 3))
     g = rng.normal(size=(2, 6, 5, 4))
-    xh = rng.normal(size=(3, 2, 5, 4))
+    xh = rng.normal(size=(3, 5, 4))
     wh = rng.normal(size=(2, 3, 3, 3))
     results = []
     for slab_bytes in (1, 8 << 20):
         monkeypatch.setattr(convops, "_SLAB_BYTES", slab_bytes)
         y, xp, pads = conv3d_forward(x, w, None, padding="same")
-        yh, hp, hpads = conv2d_forward(xh, wh, None)
+        yh, hp, hpads = conv2d_forward(xh, wh)
         results.append((y, *conv3d_backward(g, xp, w, (1, 1, 1), pads),
                         yh, *conv2d_backward(yh, hp, wh, hpads)))
     for a, b in zip(*results):
@@ -211,81 +211,69 @@ def test_conv2d_matches_conv3d_on_singleton_axis():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(2, 5, 4))
     w = rng.normal(size=(3, 2, 3, 3))
-    b = rng.normal(size=3)
-    got, _, _ = conv2d_forward(x, w, b, padding="same")
-    want = conv3d_oracle(x[:, None], w[:, :, None], b, padding="same")[:, 0]
+    got, _, _ = conv2d_forward(x, w)
+    want = conv3d_oracle(x[:, None], w[:, :, None], np.zeros(3), padding="same")[:, 0]
     assert np.allclose(got, want, rtol=1e-12)
 
 
 def test_conv2d_backward_matches_numeric():
     rng = np.random.default_rng(13)
-    x = rng.normal(size=(2, 3, 4, 4))  # time-batched form
+    x = rng.normal(size=(2, 4, 4))
     w = rng.normal(size=(3, 2, 3, 3))
-    b = rng.normal(size=3)
-    r = rng.normal(size=(3, 3, 4, 4))
+    r = rng.normal(size=(3, 4, 4))
 
     def run():
-        y, _, _ = conv2d_forward(x, w, b, padding="same")
+        y, _, _ = conv2d_forward(x, w)
         return float((y * r).sum())
 
-    _, xp, pads = conv2d_forward(x, w, b, padding="same")
-    dx, dw, db = conv2d_backward(r, xp, w, pads)
+    _, xp, pads = conv2d_forward(x, w)
+    dx, dw = conv2d_backward(r, xp, w, pads)
     assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
     assert np.allclose(dw, numeric_grad(run, w), atol=1e-7)
-    assert np.allclose(db, numeric_grad(run, b), atol=1e-7)
 
 
 def test_pool_constant_block():
     x = np.full((1, 2, 2, 2), 5.0)
-    y = pool3d(x, (1, 2, 2, 2), "max")
+    y = pool3d(x, (1, 2, 2, 2))
     assert y.shape == (1, 1, 1, 1) and y[0, 0, 0, 0] == 5.0
 
 
-def test_pool_max_and_avg_examples():
+def test_pool_max_example():
     x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
-    assert pool3d(x, (1, 1, 2, 2), "max")[0, 0, 0, 0] == 4.0
-    assert pool3d(x, (1, 1, 2, 2), "avg")[0, 0, 0, 0] == 2.5
+    assert pool3d(x, (1, 1, 2, 2))[0, 0, 0, 0] == 4.0
 
 
 def test_pool_rejects_nondivisible_extent():
     with pytest.raises(ValueError, match="divisible"):
-        pool3d(np.zeros((1, 3, 4, 4)), (1, 2, 2, 2), "max")
+        pool3d(np.zeros((1, 3, 4, 4)), (1, 2, 2, 2))
 
 
 def test_pool_keeps_map_count():
-    y = pool3d(np.zeros((5, 4, 4, 4)), (1, 2, 2, 2), "avg")
+    y = pool3d(np.zeros((5, 4, 4, 4)), (1, 2, 2, 2))
     assert y.shape == (5, 2, 2, 2)
 
 
-@pytest.mark.parametrize("mode", ["max", "avg"])
-def test_pool_matches_loop_oracle(mode):
+def test_pool_matches_loop_oracle():
     rng = np.random.default_rng(21)
     for _ in range(25):
         dims = tuple(rng.integers(1, 5) * rng.integers(1, 3) for _ in range(4))
         window = tuple(rng.choice([w for w in (1, 2, 4) if dims[i] % w == 0])
                        for i in range(4))
         x = rng.normal(size=dims)
-        got = pool3d(x, window, mode)
-        assert np.allclose(got, pool_oracle(x, window, mode), rtol=1e-12)
+        got = pool3d(x, window)
+        assert np.allclose(got, pool_oracle(x, window), rtol=1e-12)
 
 
-def test_pool_max_dominates_avg():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(3, 4, 4, 4))
-    assert np.all(pool3d(x, (1, 2, 2, 2), "max") >= pool3d(x, (1, 2, 2, 2), "avg"))
-
-
-@pytest.mark.parametrize("mode", ["max", "avg"])
-def test_pool_backward_matches_numeric(mode):
+def test_pool_backward_matches_numeric():
     rng = np.random.default_rng(31)
     x = rng.normal(size=(2, 4, 4, 2))
     r = rng.normal(size=(2, 2, 2, 2))
 
     def run():
-        y, _ = pool3d_forward(x, (1, 2, 2, 1), mode)
+        y, _ = pool3d_forward(x, (1, 2, 2, 1))
         return float((y * r).sum())
 
-    _, cache = pool3d_forward(x, (1, 2, 2, 1), mode)
+    _, cache = pool3d_forward(x, (1, 2, 2, 1))
     dx = pool3d_backward(r, cache)
     assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
 
@@ -294,13 +282,6 @@ def test_upsample_replicates_value():
     y = upsample(np.full((1, 1, 1, 1), 7.0), (1, 1, 2, 2))
     assert y.shape == (1, 1, 2, 2)
     assert np.array_equal(y, np.full((1, 1, 2, 2), 7.0))
-
-
-def test_upsample_then_avg_pool_is_identity():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(2, 3, 4, 5))
-    f = (1, 2, 2, 3)
-    assert np.allclose(pool3d(upsample(x, f), f, "avg"), x, rtol=1e-12)
 
 
 def test_upsample_matches_index_map_oracle():
@@ -331,6 +312,6 @@ def test_upsample_backward_matches_numeric():
 
 def test_window_and_factor_rank_checked():
     with pytest.raises(ValueError, match="per tensor axis"):
-        pool3d(np.zeros((2, 2, 2, 2)), (2, 2), "max")
+        pool3d(np.zeros((2, 2, 2, 2)), (2, 2))
     with pytest.raises(ValueError, match="per tensor axis"):
         upsample(np.zeros((2, 2)), (1, 2, 2))

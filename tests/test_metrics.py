@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxwalk.metrics import LabelVolume, dice, report_csv, stage_report
+from voxwalk.metrics import dice, report_csv, stage_report
 
 
 def test_dice_identical_volumes():
@@ -53,18 +53,6 @@ def test_dice_invariant_under_shared_permutation():
     perm = rng.permutation(24)
     assert dice(a.reshape(2, 3, 4), b.reshape(2, 3, 4)) == pytest.approx(
         dice(a[perm].reshape(2, 3, 4), b[perm].reshape(2, 3, 4)))
-
-
-def test_dice_accepts_label_volumes():
-    a = LabelVolume(np.ones((2, 2, 2), dtype=np.uint8))
-    assert dice(a, a) == 1.0
-
-
-def test_label_volume_validation():
-    with pytest.raises(ValueError, match="0 or 1"):
-        LabelVolume(np.full((2, 2, 2), 2))
-    with pytest.raises(ValueError, match="shape"):
-        LabelVolume(np.zeros((2, 2, 2)), x=np.zeros((2, 2)))
 
 
 def test_stage_report_rows():

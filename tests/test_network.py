@@ -28,7 +28,7 @@ def fixed_forward(net, volume, keep_skips):
     cur = x
     for i, unit in enumerate(net.encoders):
         if i > 0:
-            cur, _ = pool3d_forward(cur, net.pool_window, "max")
+            cur, _ = pool3d_forward(cur, net.pool_window)
         cur, _ = unit.forward(cur)
         enc.append(cur)
     for i in reversed(range(net.spec.depth)):
@@ -345,8 +345,7 @@ def stability_signature(net, vol):
         if isinstance(c, tuple) and len(c) == 3 and c[2] is not None:
             sig.append(c[2].copy())
     for pc in pool_caches:
-        if pc[5] is not None:
-            sig.append(pc[5].copy())
+        sig.append(pc[4].copy())
     for upc, dc in dec_caches:
         if upc[2] is not None:
             sig.append(upc[2].copy())

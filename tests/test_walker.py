@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from voxwalk.selection import SelectionResult, select
 from voxwalk.walker import (
     CompactGraph,
-    IntensityVolume,
     SolverError,
     assemble,
     build_system,
@@ -243,25 +242,19 @@ def test_assemble_normalizes_intensity():
     sel = select(maps, 0.0)
     raw = rng.normal(100.0, 25.0, size=(2, 2, 2))
     g1 = assemble(sel, maps, raw, beta=100.0)
-    g2 = assemble(sel, maps, IntensityVolume.from_raw(raw), beta=100.0)
+    g2 = assemble(sel, maps, (raw - raw.min()) / (raw.max() - raw.min()), beta=100.0)
     assert np.allclose(g1.edge_weights, g2.edge_weights)
     assert g1.edge_weights.min() > 0.0 and g1.edge_weights.max() <= 1.0
 
 
-def test_intensity_normalization_record():
-    vol = IntensityVolume.from_raw(np.array([[[2.0, 6.0]]]))
-    assert vol.normalization == {"method": "min-max", "min": 2.0, "max": 6.0}
-    assert np.allclose(vol.data, [[[0.0, 1.0]]])
-    flat = IntensityVolume.from_raw(np.full((2, 2, 2), 3.0))
-    assert np.all(flat.data == 0.0)
-
-
-def test_intensity_volume_keeps_the_volume_and_gathers_float64():
-    raw = np.array([[[2.0, 6.0, 3.0]]], dtype=np.float32)
-    vol = IntensityVolume.from_raw(raw)
-    assert vol.raw is raw
-    got = vol.gather(np.array([2, 0]))
-    assert got.dtype == np.float64 and np.array_equal(got, [0.25, 0.0])
+def test_assemble_maps_the_intensity_range_onto_the_unit_interval():
+    maps = np.full((1, 1, 1, 2), 0.5)
+    sel = select(maps, 0.0)
+    line = assemble(sel, maps, np.array([[[2.0, 6.0]]]), beta=3.0)
+    assert len(line.edge_weights) == 1
+    assert math.isclose(line.edge_weights[0], math.exp(-3.0), rel_tol=1e-12)
+    flat = assemble(sel, maps, np.full((1, 1, 2), 3.0), beta=3.0)
+    assert flat.edge_weights.tolist() == [1.0]
 
 
 def test_float32_inputs_give_the_float64_graph_of_their_widened_values():
@@ -408,6 +401,28 @@ def test_non_finite_beta_rejected(beta):
         refine(maps, intensity, 0.5, beta=beta)
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_refine_checks_its_inputs_at_every_theta(theta):
+    """At theta 1 no voxel is a candidate; the inputs are checked all the same."""
+    maps, intensity = small_scene()
+    with pytest.raises(ValueError, match="dims"):
+        refine(maps, intensity[:3, :3, :3], theta, beta=100.0)
+    nan_intensity = intensity.copy()
+    nan_intensity[1, 2, 3] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        refine(maps, nan_intensity, theta, beta=100.0)
+    with pytest.raises(ValueError, match="tol"):
+        refine(maps, intensity, theta, beta=100.0, tol=math.nan)
+    with pytest.raises(ValueError, match="beta"):
+        refine(maps, intensity, theta, beta=math.nan)
+
+
+def test_refine_accepts_a_zero_voxel_volume():
+    out = refine(np.zeros((2, 0, 4, 4)), np.zeros((0, 4, 4)), 0.5, beta=100.0)
+    assert out.labels.shape == out.x.shape == (0, 4, 4)
+    assert (out.candidates, out.edges, out.dirichlet, out.iterations) == (0, 0, 0, 0)
+
+
 def graph_with(**overrides):
     """A two-candidate graph with one edge and one Dirichlet term."""
     fields = dict(
@@ -451,7 +466,7 @@ def partitions(draw):
     conf = np.flatnonzero(~is_cand)
     labels = draw(hnp.arrays(np.uint8, len(conf), elements=st.integers(0, 1)))
     sel = SelectionResult(dims=dims, confident_idx=conf, confident_labels=labels,
-                          candidate_idx=np.flatnonzero(is_cand), theta=0.5)
+                          candidate_idx=np.flatnonzero(is_cand))
     unit = st.floats(0.0, 1.0)
     intensity = draw(hnp.arrays(np.float64, dims, elements=unit))
     maps = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)),) + dims, elements=unit))
@@ -463,7 +478,8 @@ def partitions(draw):
 def test_assemble_matches_neighbor_loop(case, beta, include_dirichlet):
     sel, maps, intensity = case
     graph = assemble(sel, maps, intensity, beta, include_dirichlet=include_dirichlet)
-    data = IntensityVolume.from_raw(intensity).data
+    lo, hi = intensity.min(), intensity.max()
+    data = (intensity - lo) / (hi - lo) if hi > lo else np.zeros_like(intensity)
     want_edges, want_dirichlet = assemble_oracle(sel, data, beta, include_dirichlet)
     got_edges = sorted(zip(*graph.edges.T.tolist(), graph.edge_weights.tolist()))
     got_dirichlet = sorted(zip(graph.dirichlet_idx.tolist(),

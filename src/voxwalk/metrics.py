@@ -1,5 +1,6 @@
 """Dice overlap and per-stage comparison reports."""
 
+import csv
 import io
 
 import numpy as np
@@ -27,9 +28,10 @@ def stage_report(ground_truth, stages):
 
 
 def report_csv(rows):
-    """Render report rows as CSV text: header `stage,dice`, 6 decimals."""
+    """Render report rows as CSV text: header `stage,dice`, 6 decimals, and
+    stage names quoted where they hold a comma, a quote or a line break."""
     buf = io.StringIO()
-    buf.write("stage,dice\n")
-    for name, value in rows:
-        buf.write(f"{name},{value:.6f}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("stage", "dice"))
+    writer.writerows((name, f"{value:.6f}") for name, value in rows)
     return buf.getvalue()

@@ -14,9 +14,7 @@ convolution variant pools all three axes.
 """
 
 import json
-import os
 import struct
-import tempfile
 
 import numpy as np
 from dataclasses import dataclass, asdict
@@ -32,6 +30,7 @@ from .convops import (
     conv2d_backward,
 )
 from .lstm import gate_math_forward, gate_math_backward, sigmoid
+from .volio import _atomic_write
 
 UNIT_TYPES = ("conv3d", "convlstm")
 
@@ -198,10 +197,11 @@ class RandomConnectionNet:
     Promote every parameter to float64 and the same code runs in float64.
     """
 
-    def __init__(self, spec, rng=None):
+    def __init__(self, spec):
         self.spec = spec
-        if rng is None:
-            rng = np.random.default_rng(np.random.SeedSequence(spec.rng_seed).spawn(2)[0])
+        # the first of the seed's two child streams; train_toy draws its
+        # connection masks from the second
+        rng = np.random.default_rng(np.random.SeedSequence(spec.rng_seed).spawn(2)[0])
         w = spec.widths
         k = spec.kernel
         if spec.unit_type == "conv3d":
@@ -224,7 +224,6 @@ class RandomConnectionNet:
             self._layers.append(self.upconvs[i])
             self._layers.append(self.decoders[i])
         self._layers.append(self.head)
-        self._slot = {id(l): j for j, l in enumerate(self._layers)}
         # cast after drawing, so the draws and their order stay those of the layers
         for layer in self._layers:
             for key in layer.keys:
@@ -294,31 +293,27 @@ class RandomConnectionNet:
 
     def _backward_full(self, dz, caches, gates):
         enc_outs, enc_caches, pool_caches, dec_caches, hc = caches
-        grads = [None] * len(self._layers)
-
-        def put(layer, g):
-            grads[self._slot[id(layer)]] = g
-
+        # the layers are visited in the reverse of their declaration order
         dcur, g = self.head.backward(dz, hc)
-        put(self.head, g)
+        grads = [g]
         dskip = [None] * self.spec.depth
         for i in range(self.spec.depth):
             upc, dc = dec_caches[i]
             dmerge, g = self.decoders[i].backward(dcur, dc)
-            put(self.decoders[i], g)
+            grads.append(g)
             dskip[i] = gates[i] * dmerge
             dup, g = self.upconvs[i].backward(dmerge, upc)
-            put(self.upconvs[i], g)
+            grads.append(g)
             dcur = upsample_backward(dup, self.pool_window)
         carry = dcur  # gradient w.r.t. the bridge output
         for i in reversed(range(self.spec.depth + 1)):
             if i <= self.spec.depth - 1:
                 carry = carry + dskip[i]
             dunit_in, g = self.encoders[i].backward(carry, enc_caches[i])
-            put(self.encoders[i], g)
+            grads.append(g)
             if i > 0:
                 carry = pool3d_backward(dunit_in, pool_caches[i - 1])
-        return grads
+        return grads[::-1]
 
     def forward(self, volume, mask=None):
         """Per-voxel foreground probabilities in (0,1), shape = volume shape.
@@ -382,9 +377,8 @@ def train_toy(spec, config, dataset, connection_mode="sampled"):
         if np.shape(vol) != np.shape(lab):
             raise ValueError(
                 f"volume shape {np.shape(vol)} != label shape {np.shape(lab)}")
-    init_ss, mask_ss = np.random.SeedSequence(spec.rng_seed).spawn(2)
-    net = RandomConnectionNet(spec, rng=np.random.default_rng(init_ss))
-    mask_rng = np.random.default_rng(mask_ss)
+    net = RandomConnectionNet(spec)
+    mask_rng = np.random.default_rng(np.random.SeedSequence(spec.rng_seed).spawn(2)[1])
     all_true = np.ones(spec.depth, dtype=bool)
     history = []
     iteration = 0
@@ -418,19 +412,9 @@ def save_checkpoint(path, net):
     by each parameter tensor as little-endian float32 in declaration order."""
     header = {"format": CHECKPOINT_FORMAT, "version": 1, "spec": asdict(net.spec)}
     blob = json.dumps(header).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for _, _, arr in net.parameters():
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    tensors = [np.ascontiguousarray(arr, dtype="<f4").tobytes()
+               for _, _, arr in net.parameters()]
+    _atomic_write(path, b"".join([struct.pack("<I", len(blob)), blob, *tensors]))
 
 
 def load_checkpoint(path):

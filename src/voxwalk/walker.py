@@ -4,8 +4,9 @@ The quadratic energy couples each candidate to virtual foreground and
 background terminals through squared per-network priors (p, 1-p), to its
 candidate neighbors through squared Gaussian intensity weights, and
 (optionally) to adjacent confident voxels through Dirichlet terms carrying
-their hard labels.  Stationarity yields a sparse symmetric M-matrix system
-solved with Jacobi-preconditioned conjugate gradient.
+their hard labels.  Stationarity yields a symmetric M-matrix system solved
+with Jacobi-preconditioned conjugate gradient.  No matrix is assembled: the
+solver applies the system to a vector straight from the edge list.
 
 The volumes stay in their own dtype (float32 as read from disk); only the
 candidate-sized arrays are float64: the gathered priors and intensities,
@@ -14,7 +15,6 @@ the unary terms and weights of the graph, the system and the solution.
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy import sparse
 
 from .selection import as_prob_stack, select
 
@@ -197,7 +197,10 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
 
 
 def build_system(graph):
-    """Stationarity system (A, b) of the walker energy, an M-matrix.
+    """Stationarity system A x = b of the walker energy, A an M-matrix.
+
+    No matrix is assembled.  Returns (apply, diag, rhs): apply(p) computes
+    A p from the edge list, diag is A's diagonal and rhs is b.
 
     Two of the M-matrix properties hold by construction: A is symmetric,
     since each edge enters at (i,j) and at (j,i) with the same value, and
@@ -216,18 +219,20 @@ def build_system(graph):
     rhs += np.bincount(graph.dirichlet_idx, dw2 * graph.dirichlet_labels, minlength=n)
     if not np.all(margin > 0):
         raise ValueError("walker system diagonal must strictly dominate its rows")
-    ei, ej = graph.edges[:, 0], graph.edges[:, 1]
+    # one contiguous intp row per edge end, so no call to apply converts them
+    ei, ej = np.ascontiguousarray(graph.edges.T, dtype=np.intp)
     ew2 = graph.edge_weights ** 2
     diag = margin + np.bincount(ei, ew2, minlength=n) + np.bincount(ej, ew2, minlength=n)
-    rows = np.concatenate([np.arange(n), ei, ej])
-    cols = np.concatenate([np.arange(n), ej, ei])
-    vals = np.concatenate([diag, -ew2, -ew2])
-    a = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return a, rhs
+
+    def apply(p):
+        return diag * p - np.bincount(ei, ew2 * p[ej], n) - np.bincount(ej, ew2 * p[ei], n)
+
+    return apply, diag, rhs
 
 
-def _pcg(a, b, diag, tol, max_iters):
-    """Jacobi-preconditioned conjugate gradient from a zero start."""
+def _pcg(apply, b, diag, tol, max_iters):
+    """Jacobi-preconditioned conjugate gradient from a zero start; apply(p)
+    gives the system's product with p."""
     norm_b = np.linalg.norm(b)
     x = np.zeros_like(b)
     if norm_b == 0.0:
@@ -241,7 +246,7 @@ def _pcg(a, b, diag, tol, max_iters):
     while rel > tol:
         if iterations >= max_iters:
             raise SolverError(iterations, rel, tol)
-        ap = a @ p
+        ap = apply(p)
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
@@ -257,10 +262,10 @@ def _pcg(a, b, diag, tol, max_iters):
 def solve(graph, tol=1e-8, max_iters=None):
     """Minimize the walker energy over the candidate values.
 
-    Solves the stationarity system to a relative residual <= tol.  The
-    solution obeys the maximum principle 0 <= x <= 1; it is checked within
-    solver tolerance, clamped exactly, then thresholded at 0.5 (0.5 maps to
-    foreground).
+    Solves the stationarity system to a relative residual <= tol, applying
+    it from the edge list with no matrix assembled.  The solution obeys the
+    maximum principle 0 <= x <= 1; it is checked within solver tolerance,
+    clamped exactly, then thresholded at 0.5 (0.5 maps to foreground).
     """
     if not 0 < tol < np.inf:  # a negation, so that NaN is rejected
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -270,8 +275,8 @@ def solve(graph, tol=1e-8, max_iters=None):
         return WalkerSolution(empty, np.zeros(0, dtype=np.uint8), 0, 0.0)
     if max_iters is None:
         max_iters = 10 * n
-    a, b = build_system(graph)
-    x, iterations, residual = _pcg(a, b, a.diagonal(), tol, max_iters)
+    apply, diag, b = build_system(graph)
+    x, iterations, residual = _pcg(apply, b, diag, tol, max_iters)
     if not (x.min() >= -1e-5 and x.max() <= 1.0 + 1e-5):
         raise ValueError(
             f"maximum principle violated at tol {tol:.3e}: x in [{x.min()}, {x.max()}]")

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxwalk import network, walker
+from voxwalk import metrics, network, walker
 from voxwalk.config import PipelineConfig
+from voxwalk.selection import node_energies, select
 from voxwalk.volio import read_volume, sidecar_path, write_volume
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -230,6 +231,38 @@ def test_refine_labels_equal_the_library_on_the_read_arrays(tmp_path, scene):
     assert read_volume(tmp_path / "o.raw")[0].tobytes() == \
         want.labels.astype(np.float32).tobytes()
     assert read_volume(tmp_path / "x.raw")[0].tobytes() == want.x.tobytes()
+
+
+def test_select_writes_the_energies_and_confident_voxels_of_the_read_maps(tmp_path, scene):
+    _, probs = scene
+    out = run_cli("select", "--probs", *probs, "--theta", "0.5",
+                  "--out-energy", tmp_path / "e.raw", "--out-confident", tmp_path / "c.raw")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ""
+    maps = np.stack([read_volume(p)[0] for p in probs])
+    energies, _ = read_volume(tmp_path / "e.raw", expect_kind="intensity")
+    assert energies.tobytes() == node_energies(maps).astype(np.float32).tobytes()
+    confident, _ = read_volume(tmp_path / "c.raw", expect_kind="label")
+    want = select(maps, 0.5).confident_idx
+    assert 0 < len(want) < maps[0].size
+    assert np.array_equal(np.flatnonzero(confident), want)
+
+
+def test_report_writes_the_csv_of_the_library_stage_report(tmp_path, scene):
+    _, probs = scene
+    stages = [("p0", tmp_path / "s0.raw"), ("p1, shifted", tmp_path / "s1.raw")]
+    for (_, path), prob in zip(stages, probs):
+        write_volume(path, (read_volume(prob)[0] >= 0.5).astype(np.float32), "label")
+    out = run_cli("report", "--truth", tmp_path / "l.raw",
+                  *[arg for name, path in stages for arg in ("--stage", f"{name}={path}")],
+                  "--out", tmp_path / "r.csv")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ""
+    truth, _ = read_volume(tmp_path / "l.raw")
+    want = metrics.report_csv(metrics.stage_report(
+        truth, [(name, read_volume(path)[0]) for name, path in stages]))
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8") == want
+    assert want.splitlines()[2].startswith('"p1, shifted",')
 
 
 def test_train_infer_and_refine_log_their_wall_time(tmp_path, scene):

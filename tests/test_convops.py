@@ -12,7 +12,7 @@ from voxwalk.convops import (
     upsample,
     upsample_backward,
 )
-from voxwalk.network import Conv3DLayer
+from voxwalk.network import Conv3DLayer, ConvLSTMUnit
 
 from oracles import conv3d_oracle, numeric_grad, pool_oracle, upsample_oracle
 
@@ -190,19 +190,23 @@ def test_conv3d_strided_backward_matches_numeric(small_slabs, padding):
 
 
 def test_conv_slab_size_does_not_change_results(monkeypatch):
+    """A 1-byte slab holds one output plane, so both the conv3d and the
+    ConvLSTM unit's input-to-state convolution over its 6 steps run in 6
+    slabs; at 8 MB each runs in one."""
     rng = np.random.default_rng(37)
     x = rng.normal(size=(3, 6, 5, 4))
     w = rng.normal(size=(2, 3, 3, 3, 3))
     g = rng.normal(size=(2, 6, 5, 4))
-    xh = rng.normal(size=(3, 5, 4))
-    wh = rng.normal(size=(2, 3, 3, 3))
+    unit = ConvLSTMUnit(3, 2, 3, rng)
+    unit.b = rng.normal(size=unit.b.shape)
     results = []
     for slab_bytes in (1, 8 << 20):
         monkeypatch.setattr(convops, "_SLAB_BYTES", slab_bytes)
         y, xp, pads = conv3d_forward(x, w, None, padding="same")
-        yh, hp, hpads = conv2d_forward(xh, wh)
+        h, cache = unit.forward(x)
+        dx, grads = unit.backward(g, cache)
         results.append((y, *conv3d_backward(g, xp, w, (1, 1, 1), pads),
-                        yh, *conv2d_backward(yh, hp, wh, hpads)))
+                        h, dx, *grads.values()))
     for a, b in zip(*results):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -72,3 +75,7 @@ def test_stage_report_empty_is_empty_table():
 def test_report_csv_format():
     text = report_csv([("raw", 0.5), ("refined", 2.0 / 3.0)])
     assert text == "stage,dice\nraw,0.500000\nrefined,0.666667\n"
+    text = report_csv([("a,b", 0.25), ('say "x"', 1.0)])
+    assert text == 'stage,dice\n"a,b",0.250000\n"say ""x""",1.000000\n'
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["stage", "dice"], ["a,b", "0.250000"], ['say "x"', "1.000000"]]

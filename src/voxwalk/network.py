@@ -2,11 +2,13 @@
 skip connections, plus a toy-scale SGD trainer.
 
 Architecture: `depth` pooling levels with one network unit (3D convolution
-or ConvLSTM) per level on each path.  Along the expansive path, level i
-computes  upsample-then-project(previous) + gate_i * (matching contracting
-output),  where gate_i is a Bernoulli(alpha) draw per training iteration
-(so 2^depth computation graphs are sampled) or the constant alpha when
-running in expectation mode at inference.
+or ConvLSTM) per level on each path, run as one recursive level: level i
+applies its contracting unit and, above the bridge, pools, recurses,
+upsamples and projects, adds gate_i * (its contracting output) and applies
+its expanding unit.  Backward recurses the same way, so a skip tensor lives
+only as long as its level.  gate_i is a Bernoulli(alpha) draw per training
+iteration (so 2^depth computation graphs are sampled) or the constant alpha
+in expectation mode at inference.
 
 The ConvLSTM variant treats the first volume axis as time and pools only
 the two spatial axes, so the recurrence length is preserved; the 3D
@@ -108,16 +110,16 @@ class Conv3DLayer:
 
     keys = ("weights", "bias")
 
-    def __init__(self, in_maps, out_maps, tkernel, kernel, rng, activation="relu"):
+    def __init__(self, in_maps, out_maps, tkernel, kernel, rng, relu=True):
         fan_in = in_maps * tkernel * kernel * kernel
         s = np.sqrt(1.0 / fan_in)
         self.weights = rng.uniform(-s, s, size=(out_maps, in_maps, tkernel, kernel, kernel))
         self.bias = np.zeros(out_maps)
-        self.activation = activation
+        self.relu = relu
 
     def forward(self, x):
         y, xp, pads = conv3d_forward(x, self.weights, self.bias, padding="same")
-        if self.activation == "relu":
+        if self.relu:
             mask = y > 0
             y = y * mask
         else:
@@ -207,16 +209,16 @@ class RandomConnectionNet:
         if spec.unit_type == "conv3d":
             self.pool_window = (1, 2, 2, 2)
             def unit(m, n):
-                return Conv3DLayer(m, n, spec.temporal_kernel, k, rng, activation="relu")
+                return Conv3DLayer(m, n, spec.temporal_kernel, k, rng)
         else:
             self.pool_window = (1, 1, 2, 2)
             def unit(m, n):
                 return ConvLSTMUnit(m, n, k, rng)
         self.encoders = [unit(1 if i == 0 else w[i - 1], w[i]) for i in range(spec.depth + 1)]
-        self.upconvs = [Conv3DLayer(w[i + 1], w[i], 1, 1, rng, activation="none")
+        self.upconvs = [Conv3DLayer(w[i + 1], w[i], 1, 1, rng, relu=False)
                         for i in range(spec.depth)]
         self.decoders = [unit(w[i], w[i]) for i in range(spec.depth)]
-        self.head = Conv3DLayer(w[0], 1, 1, 1, rng, activation="none")
+        self.head = Conv3DLayer(w[0], 1, 1, 1, rng, relu=False)
         # checkpoint declaration order: encoders top-down, then per expansive
         # level bottom-up its projection and unit, then the head
         self._layers = list(self.encoders)
@@ -266,53 +268,46 @@ class RandomConnectionNet:
             raise ValueError("mask must be boolean; pass mask=None for expectation mode")
         return mask.astype(self.dtype)
 
-    def _forward_full(self, volume, gates):
-        x = self._check_volume(volume)[None]
-        up_factor = self.pool_window
-        enc_outs = []
-        enc_caches = []
-        pool_caches = []
-        cur = x
-        for i, enc in enumerate(self.encoders):
-            if i > 0:
-                cur, pc = pool3d_forward(cur, self.pool_window)
-                pool_caches.append(pc)
-            cur, uc = enc.forward(cur)
-            enc_outs.append(cur)
-            enc_caches.append(uc)
-        dec_caches = [None] * self.spec.depth
-        for i in reversed(range(self.spec.depth)):
-            cur = upsample(cur, up_factor)
-            cur, upc = self.upconvs[i].forward(cur)
-            cur = cur + gates[i] * enc_outs[i]
-            cur, dc = self.decoders[i].forward(cur)
-            dec_caches[i] = (upc, dc)
-        z, hc = self.head.forward(cur)
-        caches = (enc_outs, enc_caches, pool_caches, dec_caches, hc)
-        return z, caches
+    def _forward_level(self, i, x, gates):
+        """Level i on input x.  Returns (out, cache), the cache being (uc,)
+        at the bridge and (uc, pc, sub, upc, dc) above it, sub being level i+1's."""
+        skip, uc = self.encoders[i].forward(x)
+        if i == self.spec.depth:
+            return skip, (uc,)
+        pooled, pc = pool3d_forward(skip, self.pool_window)
+        below, sub = self._forward_level(i + 1, pooled, gates)
+        up, upc = self.upconvs[i].forward(upsample(below, self.pool_window))
+        out, dc = self.decoders[i].forward(up + gates[i] * skip)
+        return out, (uc, pc, sub, upc, dc)
 
-    def _backward_full(self, dz, caches, gates):
-        enc_outs, enc_caches, pool_caches, dec_caches, hc = caches
-        # the layers are visited in the reverse of their declaration order
-        dcur, g = self.head.backward(dz, hc)
-        grads = [g]
-        dskip = [None] * self.spec.depth
-        for i in range(self.spec.depth):
-            upc, dc = dec_caches[i]
-            dmerge, g = self.decoders[i].backward(dcur, dc)
+    def _backward_level(self, i, dout, cache, gates, grads):
+        """Backward of :meth:`_forward_level`: appends the level's gradients to
+        grads in reverse declaration order and returns the input's gradient."""
+        uc = cache[0]
+        if i < self.spec.depth:
+            _, pc, sub, upc, dc = cache
+            dmerge, g = self.decoders[i].backward(dout, dc)
             grads.append(g)
-            dskip[i] = gates[i] * dmerge
             dup, g = self.upconvs[i].backward(dmerge, upc)
             grads.append(g)
-            dcur = upsample_backward(dup, self.pool_window)
-        carry = dcur  # gradient w.r.t. the bridge output
-        for i in reversed(range(self.spec.depth + 1)):
-            if i <= self.spec.depth - 1:
-                carry = carry + dskip[i]
-            dunit_in, g = self.encoders[i].backward(carry, enc_caches[i])
-            grads.append(g)
-            if i > 0:
-                carry = pool3d_backward(dunit_in, pool_caches[i - 1])
+            dpooled = self._backward_level(
+                i + 1, upsample_backward(dup, self.pool_window), sub, gates, grads)
+            dout = pool3d_backward(dpooled, pc) + gates[i] * dmerge
+        dx, g = self.encoders[i].backward(dout, uc)
+        grads.append(g)
+        return dx
+
+    def _forward_full(self, volume, gates):
+        x = self._check_volume(volume)[None]
+        y, lc = self._forward_level(0, x, gates)
+        z, hc = self.head.forward(y)
+        return z, (lc, hc)
+
+    def _backward_full(self, dz, caches, gates):
+        lc, hc = caches
+        dy, g = self.head.backward(dz, hc)
+        grads = [g]
+        self._backward_level(0, dy, lc, gates, grads)
         return grads[::-1]
 
     def forward(self, volume, mask=None):

@@ -131,8 +131,8 @@ def synth(seed, dims, n_blobs=3, noise_sigma=0.05):
         raise ValueError(f"dims must be three extents >= 8, got {dims}")
     if n_blobs < 0:
         raise ValueError(f"n_blobs must be >= 0, got {n_blobs}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < np.inf:  # a negation, so that NaN is rejected
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     grids = np.meshgrid(*(np.arange(s, dtype=np.float64) for s in dims), indexing="ij")
     r2_min = np.full(dims, np.inf)

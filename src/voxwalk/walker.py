@@ -1,7 +1,8 @@
 """Random-walker label inference on the candidate-voxel lattice.
 
 The quadratic energy couples each candidate to virtual foreground and
-background terminals through squared per-network priors (p, 1-p), to its
+background terminals through its prior weights Σₖ pₖ² and Σₖ (1 - pₖ)² over
+the K maps (the random walker with priors, Grady, CVPR 2005), to its
 candidate neighbors through squared Gaussian intensity weights, and
 (optionally) to adjacent confident voxels through Dirichlet terms carrying
 their hard labels.  Stationarity yields a symmetric M-matrix system solved
@@ -9,8 +10,9 @@ with Jacobi-preconditioned conjugate gradient.  No matrix is assembled: the
 solver applies the system to a vector straight from the edge list.
 
 The volumes stay in their own dtype (float32 as read from disk); only the
-candidate-sized arrays are float64: the gathered priors and intensities,
-the unary terms and weights of the graph, the system and the solution.
+candidate-sized arrays are float64: the gathered probabilities and
+intensities, the prior and edge weights of the graph, the system and the
+solution.
 """
 
 import numpy as np
@@ -56,24 +58,22 @@ class CompactGraph:
     candidates: np.ndarray          # flat voxel index per candidate, ascending
     edges: np.ndarray               # [E,2] candidate positions
     edge_weights: np.ndarray        # [E]
-    unary_fg: np.ndarray            # [n,K] = p_i^k
-    unary_bg: np.ndarray            # [n,K] = 1 - p_i^k
+    prior_fg: np.ndarray            # [n] = Σₖ (p_i^k)²
+    prior_bg: np.ndarray            # [n] = Σₖ (1 - p_i^k)²
     dirichlet_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     dirichlet_labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
     dirichlet_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         n = len(self.candidates)
-        if self.unary_fg.shape != self.unary_bg.shape or self.unary_fg.shape[0] != n:
-            raise ValueError("one (fg,bg) unary pair per candidate per network required")
-        if self.unary_fg.ndim != 2 or self.unary_fg.shape[1] < 1:
-            raise ValueError("every candidate needs at least one network prior")
+        if self.prior_fg.shape != (n,) or self.prior_bg.shape != (n,):
+            raise ValueError("one (fg,bg) prior weight pair per candidate required")
         for w in (self.edge_weights, self.dirichlet_weights):
             # NaN propagates into min and max and fails both comparisons
             if len(w) and not (w.min() >= 0 and w.max() <= 1.0 + 1e-12):
                 raise ValueError("edge weights must be finite and lie in [0,1]")
-        if not (np.isfinite(self.unary_fg).all() and np.isfinite(self.unary_bg).all()):
-            raise ValueError("unary terms must be finite")
+        if not (np.isfinite(self.prior_fg).all() and np.isfinite(self.prior_bg).all()):
+            raise ValueError("prior weights must be finite")
 
     @property
     def n_candidates(self):
@@ -136,7 +136,7 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     axis, each candidate looks one step up and one step down the lattice.
     A candidate pair is taken once, from its lower voxel; a confident
     neighbor on either side gives a Dirichlet term.  Only the gathered
-    priors and intensities are widened to float64.
+    probabilities and intensities are widened to float64.
     """
     p = as_prob_stack(maps)
     dims = tuple(p.shape[1:])
@@ -181,14 +181,14 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
             dir_w.append(edge_weight(gather(a), gather(b), beta))
 
     edges = np.stack([np.concatenate(edge_i), np.concatenate(edge_j)], axis=1)
-    unary_fg = np.ascontiguousarray(p.reshape(p.shape[0], -1)[:, cand].T, dtype=np.float64)
+    q = p.reshape(p.shape[0], -1)[:, cand].astype(np.float64)
     return CompactGraph(
         dims=dims,
         candidates=cand.copy(),
         edges=edges,
         edge_weights=np.concatenate(edge_w),
-        unary_fg=unary_fg,
-        unary_bg=1.0 - unary_fg,
+        prior_fg=(q ** 2).sum(axis=0),
+        prior_bg=((1.0 - q) ** 2).sum(axis=0),
         dirichlet_idx=np.concatenate(dir_i) if dir_i else np.zeros(0, dtype=np.int64),
         dirichlet_labels=(np.concatenate(dir_l).astype(np.uint8)
                           if dir_l else np.zeros(0, dtype=np.uint8)),
@@ -207,13 +207,12 @@ def build_system(graph):
     its off-diagonals are -w² <= 0, since :class:`CompactGraph` admits only
     finite weights.  The third is checked: each row's diagonal exceeds the
     sum of its off-diagonal magnitudes by the row's terminal and Dirichlet
-    terms, Σₖ (fg² + bg²) + Σ w², which must be positive (strict diagonal
+    terms, prior_fg + prior_bg + Σ w², which must be positive (strict diagonal
     dominance, hence A is SPD); a zero margin raises ValueError.
     """
     n = graph.n_candidates
-    fg2 = graph.unary_fg ** 2
-    margin = (fg2 + graph.unary_bg ** 2).sum(axis=1)
-    rhs = fg2.sum(axis=1)
+    margin = graph.prior_fg + graph.prior_bg
+    rhs = graph.prior_fg.copy()
     dw2 = graph.dirichlet_weights ** 2
     margin += np.bincount(graph.dirichlet_idx, dw2, minlength=n)
     rhs += np.bincount(graph.dirichlet_idx, dw2 * graph.dirichlet_labels, minlength=n)

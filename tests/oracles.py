@@ -200,9 +200,8 @@ def dense_system_oracle(graph):
     a = np.zeros((n, n))
     b = np.zeros(n)
     for i in range(n):
-        for k in range(graph.unary_fg.shape[1]):
-            a[i, i] += graph.unary_fg[i, k] ** 2 + graph.unary_bg[i, k] ** 2
-            b[i] += graph.unary_fg[i, k] ** 2
+        a[i, i] += graph.prior_fg[i] + graph.prior_bg[i]
+        b[i] += graph.prior_fg[i]
     for (i, j), w in zip(graph.edges, graph.edge_weights):
         a[i, i] += w * w
         a[j, j] += w * w
@@ -219,9 +218,8 @@ def walker_energy_oracle(graph, x):
     """Direct evaluation of the walker objective at candidate values x."""
     energy = 0.0
     for i in range(graph.n_candidates):
-        for k in range(graph.unary_fg.shape[1]):
-            energy += graph.unary_fg[i, k] ** 2 * (x[i] - 1.0) ** 2
-            energy += graph.unary_bg[i, k] ** 2 * x[i] ** 2
+        energy += graph.prior_fg[i] * (x[i] - 1.0) ** 2
+        energy += graph.prior_bg[i] * x[i] ** 2
     for (i, j), w in zip(graph.edges, graph.edge_weights):
         energy += w * w * (x[i] - x[j]) ** 2
     for i, lab, w in zip(graph.dirichlet_idx, graph.dirichlet_labels,

@@ -75,6 +75,15 @@ def test_usage_error_exits_2(labels):
     assert out.stderr.startswith("usage: voxwalk dice")
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_synth_rejects_non_finite_noise_sigma(tmp_path, sigma):
+    out = run_cli("synth", "--dims", 8, 8, 8, "--noise-sigma", sigma,
+                  "--out-intensity", tmp_path / "i.raw", "--out-label", tmp_path / "l.raw")
+    assert_one_error_line(out)
+    assert "noise_sigma" in out.stderr
+    assert not (tmp_path / "i.raw").exists() and not (tmp_path / "l.raw").exists()
+
+
 @pytest.fixture
 def scene(tmp_path):
     """An 8³ intensity volume and two probability maps near its truth."""

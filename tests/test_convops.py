@@ -44,7 +44,7 @@ def test_conv3d_full_window_sums_to_27():
 def test_conv3d_relu_clamps_negative_bias():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 4, 4, 4))
-    layer = Conv3DLayer(2, 3, 3, 3, rng, activation="relu")
+    layer = Conv3DLayer(2, 3, 3, 3, rng, relu=True)
     layer.weights[...] = 0.0
     layer.bias[...] = -1.0
     y, _ = layer.forward(x)

@@ -288,6 +288,23 @@ def test_convlstm_checkpoint_bytes_are_pinned(tmp_path):
     assert digest == "b966fd0cb8debf7888b36a0b59cb9cdf01233d1a5fc43ae113791988da793684"
 
 
+@pytest.mark.parametrize("unit_type, digest", [
+    ("conv3d", "929361c3f30a4a63a67c204030044799c96192f78716d1bc635e900b6443369f"),
+    ("convlstm", "e8eb62fdba1868cab49e5893c93656f2c790069f499d2b3079efd2438f933bb0"),
+], ids=["conv3d", "convlstm"])
+def test_depth2_checkpoint_bytes_are_pinned(tmp_path, unit_type, digest):
+    # Pins the gradient routing through two levels: the 4 SGD steps pass
+    # through both pools and the bridge, and the sampled masks open each
+    # skip in one step and close it in the other three.
+    rng = np.random.default_rng(9)
+    vol = rng.normal(0.5, 0.25, (4, 8, 8))
+    spec = NetworkSpec(unit_type, 2, (2, 3, 4), rng_seed=22)
+    net, _ = train_toy(spec, TrainConfig(learning_rate=0.5, epochs=4),
+                       [(vol, (vol > 0.5).astype(np.float64))])
+    save_checkpoint(tmp_path / "net.ckpt", net)
+    assert hashlib.sha256((tmp_path / "net.ckpt").read_bytes()).hexdigest() == digest
+
+
 def test_checkpoint_corruption_detected(tmp_path):
     net = small_conv_net(seed=16)
     path = tmp_path / "net.ckpt"
@@ -338,20 +355,21 @@ def stability_signature(net, vol):
     """ReLU masks and pool argmax routes; equal signatures on both sides of a
     perturbation mean no kink was crossed."""
     gates = net._gates(None)
-    _, caches = net._forward_full(vol, gates)
-    enc_outs, enc_caches, pool_caches, dec_caches, hc = caches
+    _, (level, _) = net._forward_full(vol, gates)
     sig = []
-    for c in enc_caches:
-        if isinstance(c, tuple) and len(c) == 3 and c[2] is not None:
-            sig.append(c[2].copy())
-    for pc in pool_caches:
+    # walk the level caches from the top down to the bridge
+    while True:
+        uc = level[0]
+        if isinstance(uc, tuple) and len(uc) == 3 and uc[2] is not None:
+            sig.append(uc[2].copy())
+        if len(level) == 1:
+            return sig
+        _, pc, level, upc, dc = level
         sig.append(pc[4].copy())
-    for upc, dc in dec_caches:
         if upc[2] is not None:
             sig.append(upc[2].copy())
         if isinstance(dc, tuple) and len(dc) == 3 and dc[2] is not None:
             sig.append(dc[2].copy())
-    return sig
 
 
 def network_loss_grad_check(unit_type, seed, epsilon=1e-4):

@@ -165,6 +165,13 @@ def test_synth_rejects_degenerate_dims():
         synth(0, (8, 8, 8), n_blobs=-1)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+def test_synth_rejects_negative_or_non_finite_noise_sigma(sigma):
+    # NaN used to pass `noise_sigma > 0` as False and give a noiseless scene
+    with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+        synth(0, (8, 8, 8), noise_sigma=sigma)
+
+
 def test_synth_labels_nontrivial():
     _, label = synth(1, (16, 16, 16), n_blobs=2)
     frac = label.mean()

@@ -41,8 +41,8 @@ def single_candidate_graph(p=0.7):
         candidates=np.array([0]),
         edges=np.zeros((0, 2), dtype=np.int64),
         edge_weights=np.zeros(0),
-        unary_fg=np.array([[p]]),
-        unary_bg=np.array([[1.0 - p]]),
+        prior_fg=np.array([p ** 2]),
+        prior_bg=np.array([(1.0 - p) ** 2]),
     )
 
 
@@ -58,8 +58,8 @@ def test_three_node_chain_matches_dense_solve():
         candidates=np.arange(3),
         edges=np.array([[0, 1], [1, 2]]),
         edge_weights=np.array([0.8, 0.6]),
-        unary_fg=np.array([[0.9], [0.5], [0.2]]),
-        unary_bg=np.array([[0.1], [0.5], [0.8]]),
+        prior_fg=np.array([0.9, 0.5, 0.2]) ** 2,
+        prior_bg=np.array([0.1, 0.5, 0.8]) ** 2,
     )
     a, b = dense_system_oracle(graph)
     want = np.linalg.solve(a, b)
@@ -73,8 +73,8 @@ def test_all_foreground_priors_give_ones():
         candidates=np.arange(4),
         edges=np.array([[0, 1], [1, 2], [2, 3]]),
         edge_weights=np.array([0.5, 0.9, 0.3]),
-        unary_fg=np.ones((4, 2)),
-        unary_bg=np.zeros((4, 2)),
+        prior_fg=np.full(4, 2.0),
+        prior_bg=np.zeros(4),
     )
     sol = solve(graph, tol=1e-12)
     assert np.allclose(sol.x, 1.0, atol=1e-10)
@@ -87,8 +87,8 @@ def test_strong_edge_pulls_values_together():
         candidates=np.arange(2),
         edges=np.array([[0, 1]]),
         edge_weights=np.array([1.0]),
-        unary_fg=np.array([[0.9], [0.1]]),
-        unary_bg=np.array([[0.1], [0.9]]),
+        prior_fg=np.array([0.9, 0.1]) ** 2,
+        prior_bg=np.array([0.1, 0.9]) ** 2,
     )
     strong = solve(graph, tol=1e-12)
     graph.edge_weights = np.array([0.01])
@@ -175,8 +175,8 @@ def zero_prior_edge_graph():
         candidates=np.arange(2),
         edges=np.array([[0, 1]]),
         edge_weights=np.ones(1),
-        unary_fg=np.zeros((2, 1)),
-        unary_bg=np.zeros((2, 1)),
+        prior_fg=np.zeros(2),
+        prior_bg=np.zeros(2),
     )
 
 
@@ -189,14 +189,14 @@ def test_singular_system_rejected():
 
 def test_loose_tolerance_breaking_maximum_principle_rejected():
     # one Jacobi-preconditioned CG step overshoots 1 on this chain
-    p = np.array([[0.91], [0.61], [0.73]])
+    p = np.array([0.91, 0.61, 0.73])
     graph = CompactGraph(
         dims=(3, 1, 1),
         candidates=np.arange(3),
         edges=np.array([[0, 1], [1, 2]]),
         edge_weights=np.array([0.54, 0.94]),
-        unary_fg=p,
-        unary_bg=1.0 - p,
+        prior_fg=p ** 2,
+        prior_bg=(1.0 - p) ** 2,
     )
     assert solve(graph, tol=1e-12).x.max() < 1.0
     with pytest.raises(ValueError, match="maximum principle"):
@@ -227,8 +227,8 @@ def test_empty_candidate_set_is_noop():
         candidates=np.zeros(0, dtype=np.int64),
         edges=np.zeros((0, 2), dtype=np.int64),
         edge_weights=np.zeros(0),
-        unary_fg=np.zeros((0, 1)),
-        unary_bg=np.zeros((0, 1)),
+        prior_fg=np.zeros(0),
+        prior_bg=np.zeros(0),
     ))
     assert len(sol.x) == 0 and sol.iterations == 0
 
@@ -273,11 +273,11 @@ def test_float32_inputs_give_the_float64_graph_of_their_widened_values():
     sel = select(maps, 0.6)
     narrow = assemble(sel, maps, intensity, beta=30.0)
     wide = assemble(sel, maps.astype(np.float64), intensity.astype(np.float64), beta=30.0)
-    for name in ("edges", "edge_weights", "unary_fg", "unary_bg", "dirichlet_idx",
+    for name in ("edges", "edge_weights", "prior_fg", "prior_bg", "dirichlet_idx",
                  "dirichlet_labels", "dirichlet_weights"):
         got, want = getattr(narrow, name), getattr(wide, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    for name in ("edge_weights", "unary_fg", "unary_bg", "dirichlet_weights"):
+    for name in ("edge_weights", "prior_fg", "prior_bg", "dirichlet_weights"):
         assert getattr(narrow, name).dtype == np.float64, name
     a, diag, b = dense_system(narrow)
     assert a.dtype == diag.dtype == b.dtype == np.float64
@@ -300,7 +300,7 @@ def test_dirichlet_terms_pull_toward_confident_labels():
     with_d = refine(maps, intensity, 2.0 / 3.0, beta=100.0)
     assert with_d.labels[1, 0, 0] == 1  # neighbors vote foreground
     without = refine(maps, intensity, 2.0 / 3.0, beta=100.0, include_dirichlet=False)
-    # with the boundary terms removed only the 0.5 unary remains: x = 0.5 -> 1
+    # with the boundary terms removed only the 0.5 prior remains: x = 0.5 -> 1
     assert without.x[1, 0, 0] == pytest.approx(0.5, abs=1e-9)
     assert without.labels[1, 0, 0] == 1
 
@@ -437,8 +437,8 @@ def graph_with(**overrides):
         candidates=np.arange(2),
         edges=np.array([[0, 1]]),
         edge_weights=np.array([0.5]),
-        unary_fg=np.array([[0.9], [0.4]]),
-        unary_bg=np.array([[0.1], [0.6]]),
+        prior_fg=np.array([0.9, 0.4]) ** 2,
+        prior_bg=np.array([0.1, 0.6]) ** 2,
         dirichlet_idx=np.array([1]),
         dirichlet_labels=np.array([1], dtype=np.uint8),
         dirichlet_weights=np.array([0.7]),
@@ -458,10 +458,17 @@ def test_graph_rejects_bad_edge_and_dirichlet_weights(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_graph_rejects_non_finite_unary_terms(bad):
-    with pytest.raises(ValueError, match="unary terms must be finite"):
-        graph_with(unary_fg=np.array([[0.9], [bad]]))
-    with pytest.raises(ValueError, match="unary terms must be finite"):
-        graph_with(unary_bg=np.array([[bad], [0.6]]))
+    with pytest.raises(ValueError, match="prior weights must be finite"):
+        graph_with(prior_fg=np.array([0.81, bad]))
+    with pytest.raises(ValueError, match="prior weights must be finite"):
+        graph_with(prior_bg=np.array([bad, 0.36]))
+
+
+def test_graph_rejects_priors_not_one_per_candidate():
+    with pytest.raises(ValueError, match=r"one \(fg,bg\) prior weight pair per candidate"):
+        graph_with(prior_fg=np.array([[0.81], [0.16]]))
+    with pytest.raises(ValueError, match=r"one \(fg,bg\) prior weight pair per candidate"):
+        graph_with(prior_bg=np.array([0.01]))
 
 
 @st.composite
@@ -496,4 +503,9 @@ def test_assemble_matches_neighbor_loop(case, beta, include_dirichlet):
         assert [g[:2] for g in got] == [w[:2] for w in want]
         assert np.allclose([g[2] for g in got], [w[2] for w in want], rtol=1e-12, atol=0)
     assert np.array_equal(graph.candidates, sel.candidate_idx)
-    assert np.array_equal(graph.unary_fg, maps.reshape(len(maps), -1)[:, sel.candidate_idx].T)
+    flat = maps.reshape(len(maps), -1)
+    want_fg = [sum(flat[k, v] ** 2 for k in range(len(maps))) for v in sel.candidate_idx]
+    want_bg = [sum((1.0 - flat[k, v]) ** 2 for k in range(len(maps)))
+               for v in sel.candidate_idx]
+    assert np.array_equal(graph.prior_fg, np.array(want_fg, dtype=np.float64))
+    assert np.array_equal(graph.prior_bg, np.array(want_bg, dtype=np.float64))

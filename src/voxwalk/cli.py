@@ -14,7 +14,7 @@ import numpy as np
 
 from . import metrics, network, volio, walker
 from .config import PipelineConfig
-from .selection import node_energies, select
+from .selection import _prune, node_energies
 
 
 def _log(msg):
@@ -101,10 +101,10 @@ def _cmd_select(args):
     energies = node_energies(maps)
     volio.write_volume(args.out_energy, energies, "intensity")
     if args.out_confident:
-        sel = select(maps, cfg.theta)
-        conf = np.zeros(int(np.prod(sel.dims)))
-        conf[sel.confident_idx] = 1.0
-        volio.write_volume(args.out_confident, conf.reshape(sel.dims), "label")
+        sel = _prune(maps, energies, cfg.theta)
+        conf = np.zeros(sel.dims, dtype=np.float32)
+        conf.reshape(-1)[sel.confident_idx] = 1.0
+        volio.write_volume(args.out_confident, conf, "label")
     _log(f"select: K={len(args.probs)} theta={cfg.theta} -> {args.out_energy}")
     return 0
 

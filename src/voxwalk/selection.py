@@ -10,6 +10,9 @@ graph-based inference.
 
 Selection computes in the dtype of its maps: float32 maps (as volumes are
 read) give float32 energies, and every other input is promoted to float64.
+The energies are computed one slab of depth planes at a time, so that the
+work stays in cache, and the probabilities are checked there as they are
+read: once per selection.
 """
 
 import math
@@ -17,12 +20,18 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
+# voxels per node_energies slab (whole depth planes, at least one): 8 planes
+# of 128x128, so that a slab's temporaries stay in cache
+_SLAB_VOXELS = 1 << 17
+
 
 def as_prob_stack(maps):
-    """Stack K probability maps into one [K,D,H,W] array, validating ranges.
+    """Stack K probability maps into one [K,D,H,W] array.
 
     float32 maps stay float32 and any other input becomes float64, so the
     stack is a view of the input whenever it already is one of the two.
+    The values are not checked here: each reader checks the probabilities
+    it reads with :func:`check_probs`.
     """
     arr = np.asarray(maps)
     if arr.dtype != np.float32:
@@ -34,13 +43,17 @@ def as_prob_stack(maps):
             f"expected one or more [D,H,W] probability maps, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("at least one probability map is required")
-    if arr.size:
-        lo, hi = arr.min(), arr.max()  # NaN propagates into both
+    return arr
+
+
+def check_probs(values):
+    """Raise ValueError unless every value is a probability in [0,1]."""
+    if values.size:
+        lo, hi = values.min(), values.max()  # NaN propagates into both
         if np.isnan(lo):
             raise ValueError("probabilities must be finite, found NaN")
         if lo < 0.0 or hi > 1.0:
             raise ValueError("probabilities must lie in [0,1]")
-    return arr
 
 
 @dataclass
@@ -66,18 +79,40 @@ def node_energies(maps):
     Each node (p, 1-p) is scaled once to a unit vector (u, v), so a lattice
     cosine is u·u' + v·v'.  Over the ordered pairs of distinct networks the
     co-located cosines then sum to (Σₖ u)² + (Σₖ v)² - K, since each unit
-    vector contributes u² + v² = 1 to the full square.  The maps are visited
-    one at a time, so only [D,H,W]-sized temporaries are allocated, all in
-    the dtype of the maps.
+    vector contributes u² + v² = 1 to the full square.  All arithmetic is
+    in the dtype of the maps.
+
+    The volume is scored one slab of depth planes at a time, so that the
+    slab's temporaries stay in cache: as many planes as fit in
+    `_SLAB_VOXELS`, at least one.  Each slab carries one plane of halo on
+    either side, so the depth edges that cross a slab border are scored,
+    and only the slab's own planes are kept.  Every voxel thus gets the
+    same float operations in the same order as in one whole-volume pass,
+    and the energies are byte-identical at any slab size.  The
+    probabilities are checked slab by slab, as they are read.
 
     Lattice edges are truncated at the volume border (no phantom
     neighbors), so border energies are comparably smaller.
     """
     p = as_prob_stack(maps)
+    depth = p.shape[1]
+    energy = np.empty(p.shape[1:], dtype=p.dtype)
+    per = max(1, _SLAB_VOXELS // max(1, math.prod(p.shape[2:])))
+    for z0 in range(0, depth, per):
+        z1 = min(depth, z0 + per)
+        a = max(0, z0 - 1)
+        energy[z0:z1] = _slab_energies(p[:, a:min(depth, z1 + 1)])[z0 - a:z1 - a]
+    return energy
+
+
+def _slab_energies(p):
+    """node_energies of one [K,d,H,W] slab, checking each map's
+    probabilities before it scores them."""
     energy = np.zeros(p.shape[1:], dtype=p.dtype)
     sum_u = np.zeros_like(energy)
     sum_v = np.zeros_like(energy)
     for pk in p:
+        check_probs(pk)
         energy += (1.0 - 2.0 * pk) ** 2
         v = 1.0 - pk
         norm = np.sqrt(pk * pk + v * v)
@@ -108,8 +143,13 @@ def select(maps, theta):
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
     p = as_prob_stack(maps)
-    dims = p.shape[1:]
-    flat = node_energies(p).reshape(-1)
+    return _prune(p, node_energies(p), theta)
+
+
+def _prune(p, energies, theta):
+    """The pruning of :func:`select`, given the [K,D,H,W] stack p and its
+    node energies."""
+    flat = energies.reshape(-1)
     n_conf = int(math.floor(flat.size * theta))
     cut = np.partition(flat, flat.size - n_conf)[flat.size - n_conf] if n_conf else np.inf
     confident = flat > cut
@@ -118,7 +158,7 @@ def select(maps, theta):
     mean_p = p.mean(axis=0).reshape(-1)
     labels = (mean_p[conf] >= 0.5).astype(np.uint8)
     return SelectionResult(
-        dims=dims,
+        dims=p.shape[1:],
         confident_idx=conf,
         confident_labels=labels,
         candidate_idx=cand,

@@ -18,7 +18,7 @@ solution.
 import numpy as np
 from dataclasses import dataclass, field
 
-from .selection import as_prob_stack, select
+from .selection import as_prob_stack, check_probs, select
 
 
 class SolverError(RuntimeError):
@@ -136,7 +136,8 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     axis, each candidate looks one step up and one step down the lattice.
     A candidate pair is taken once, from its lower voxel; a confident
     neighbor on either side gives a Dirichlet term.  Only the gathered
-    probabilities and intensities are widened to float64.
+    probabilities and intensities are widened to float64, and only the
+    gathered probabilities are checked.
     """
     p = as_prob_stack(maps)
     dims = tuple(p.shape[1:])
@@ -147,6 +148,8 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
         raise ValueError(f"intensity dims {intensity.shape} != map dims {dims}")
     gather = _intensity_gather(intensity)
     cand = selection.candidate_idx
+    q = p.reshape(p.shape[0], -1)[:, cand].astype(np.float64)
+    check_probs(q)
     n_vox = int(np.prod(dims))
     if n_vox >= 2 ** 31:
         raise ValueError(f"assemble takes at most 2**31 - 1 voxels, got {n_vox}")
@@ -181,7 +184,6 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
             dir_w.append(edge_weight(gather(a), gather(b), beta))
 
     edges = np.stack([np.concatenate(edge_i), np.concatenate(edge_j)], axis=1)
-    q = p.reshape(p.shape[0], -1)[:, cand].astype(np.float64)
     return CompactGraph(
         dims=dims,
         candidates=cand.copy(),

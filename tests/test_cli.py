@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxwalk import metrics, network, walker
+from voxwalk import cli, metrics, network, selection, walker
 from voxwalk.config import PipelineConfig
 from voxwalk.selection import node_energies, select
 from voxwalk.volio import read_volume, sidecar_path, write_volume
@@ -255,6 +255,24 @@ def test_select_writes_the_energies_and_confident_voxels_of_the_read_maps(tmp_pa
     want = select(maps, 0.5).confident_idx
     assert 0 < len(want) < maps[0].size
     assert np.array_equal(np.flatnonzero(confident), want)
+
+
+def test_select_scores_the_maps_once(tmp_path, scene, monkeypatch, capsys):
+    """--out-confident prunes the energies written to --out-energy."""
+    _, probs = scene
+    calls = []
+
+    def counted(maps, score=selection.node_energies):
+        calls.append(maps.shape)
+        return score(maps)
+
+    monkeypatch.setattr(cli, "node_energies", counted)
+    monkeypatch.setattr(selection, "node_energies", counted)
+    code = cli.main(["select", "--probs", *map(str, probs), "--theta", "0.5",
+                     "--out-energy", str(tmp_path / "e.raw"),
+                     "--out-confident", str(tmp_path / "c.raw")])
+    assert code == 0, capsys.readouterr().err
+    assert calls == [(2, 8, 8, 8)]
 
 
 def test_report_writes_the_csv_of_the_library_stage_report(tmp_path, scene):

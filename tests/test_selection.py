@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from voxwalk import selection, walker
 from voxwalk.selection import (
     SelectionResult,
     as_prob_stack,
+    check_probs,
     node_energies,
     select,
 )
@@ -168,9 +170,32 @@ def test_nan_probability_rejected():
     maps = np.full((2, 2, 2, 2), 0.5)
     maps[1, 0, 1, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        as_prob_stack(maps)
+        check_probs(maps)
     with pytest.raises(ValueError, match="finite"):
         select(maps, 0.5)
+
+
+@pytest.mark.parametrize("dims", [(1, 3, 4), (2, 3, 4), (3, 2, 5), (7, 3, 2),
+                                  (0, 3, 4), (3, 0, 4), (2, 3, 0)])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_energies_do_not_depend_on_the_slab_size(monkeypatch, dtype, k, dims):
+    """A 1-voxel slab holds one depth plane, so every plane border is crossed
+    through a halo; two planes leave a shorter last slab at odd depths, and
+    a slab larger than the volume scores it in one pass."""
+    rng = np.random.default_rng(41)
+    maps = rng.random((k,) + dims).astype(dtype)
+    intensity = rng.random(dims)
+    plane = math.prod(dims[1:])
+    energies, fused = [], []
+    for slab in (1, 2 * plane, math.prod(dims) + 1):
+        monkeypatch.setattr(selection, "_SLAB_VOXELS", slab)
+        energies.append(node_energies(maps))
+        out = walker.refine(maps, intensity, 0.5, beta=100.0)
+        fused.append(out.labels.tobytes() + out.x.tobytes())
+    assert energies[0].dtype == dtype and energies[0].shape == dims
+    assert energies[0].tobytes() == energies[1].tobytes() == energies[2].tobytes()
+    assert fused[0] == fused[1] == fused[2]
 
 
 @st.composite

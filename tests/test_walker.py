@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voxwalk.selection import SelectionResult, select
+from voxwalk import selection
+from voxwalk.selection import SelectionResult, node_energies, select
 from voxwalk.walker import (
     CompactGraph,
     SolverError,
@@ -422,6 +423,33 @@ def test_refine_checks_its_inputs_at_every_theta(theta):
         refine(maps, intensity, theta, beta=100.0, tol=math.nan)
     with pytest.raises(ValueError, match="beta"):
         refine(maps, intensity, theta, beta=math.nan)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "probabilities must be finite, found NaN"),
+    (1.4, r"probabilities must lie in \[0,1\]"),
+])
+@pytest.mark.parametrize("entry", ["node_energies", "select", "refine", "assemble"])
+def test_each_entry_point_checks_the_probabilities_it_reads(monkeypatch, entry, bad, message):
+    """The range check runs where the maps are read: node_energies checks
+    them slab by slab, select and refine through it, and assemble checks
+    the probabilities of the candidates it gathers."""
+    monkeypatch.setattr(selection, "_SLAB_VOXELS", 1)  # one depth plane per slab
+    rng = np.random.default_rng(43)
+    maps = rng.random((2, 4, 3, 3))
+    intensity = rng.random((4, 3, 3))
+    sel = select(maps, 0.5)
+    voxel = sel.candidate_idx[-1]
+    assert voxel >= 9  # past the first slab
+    maps.reshape(2, -1)[1, voxel] = bad
+    calls = {
+        "node_energies": lambda: node_energies(maps),
+        "select": lambda: select(maps, 0.5),
+        "refine": lambda: refine(maps, intensity, 0.5, beta=100.0),
+        "assemble": lambda: assemble(sel, maps, intensity, beta=100.0),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[entry]()
 
 
 def test_refine_accepts_a_zero_voxel_volume():

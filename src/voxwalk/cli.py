@@ -102,9 +102,7 @@ def _cmd_select(args):
     volio.write_volume(args.out_energy, energies, "intensity")
     if args.out_confident:
         sel = _prune(maps, energies, cfg.theta)
-        conf = np.zeros(sel.dims, dtype=np.float32)
-        conf.reshape(-1)[sel.confident_idx] = 1.0
-        volio.write_volume(args.out_confident, conf, "label")
+        volio.write_volume(args.out_confident, (sel.state >= 0).reshape(sel.dims), "label")
     _log(f"select: K={len(args.probs)} theta={cfg.theta} -> {args.out_energy}")
     return 0
 

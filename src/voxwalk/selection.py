@@ -6,7 +6,8 @@ confidence (1-2p)^2 plus cosine similarities to its 6 lattice neighbors in
 the same network and to its co-located nodes in the other networks.  The
 top floor(|V| * theta) voxels by energy are pruned as confident (keeping a
 hard label from the mean probability); the rest form the candidate set for
-graph-based inference.
+graph-based inference.  A selection is one int8 state per voxel: -1 for a
+candidate, the hard label 0 or 1 for a confident voxel.
 
 Selection computes in the dtype of its maps: float32 maps (as volumes are
 read) give float32 energies, and every other input is promoted to float64.
@@ -18,7 +19,7 @@ read: once per selection.
 import math
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # voxels per node_energies slab (whole depth planes, at least one): 8 planes
 # of 128x128, so that a slab's temporaries stay in cache
@@ -58,19 +59,27 @@ def check_probs(values):
 
 @dataclass
 class SelectionResult:
-    """Partition of all voxels into pruned (confident) and candidate sets."""
+    """Partition of all voxels into pruned (confident) and candidate sets,
+    held as one int8 state per voxel: -1 or a confident voxel's hard label."""
 
     dims: tuple
-    confident_idx: np.ndarray     # flat voxel indices, ascending
-    confident_labels: np.ndarray  # hard 0/1 label per confident voxel
-    candidate_idx: np.ndarray     # flat voxel indices, ascending
+    state: np.ndarray                              # flat int8, one entry per voxel
+    candidate_idx: np.ndarray = field(init=False)  # flat voxel indices, ascending
 
     def __post_init__(self):
-        n = int(np.prod(self.dims))
-        if len(self.confident_idx) + len(self.candidate_idx) != n:
-            raise ValueError("confident and candidate sets must partition the volume")
-        if len(self.confident_idx) != len(self.confident_labels):
-            raise ValueError("one hard label per confident voxel")
+        if self.state.shape != (math.prod(self.dims),):
+            raise ValueError(f"selection state needs one entry per voxel, got {self.state.shape}")
+        self.candidate_idx = np.flatnonzero(self.state < 0)
+
+    @property
+    def confident_idx(self):
+        """Flat indices of the confident voxels, ascending."""
+        return np.flatnonzero(self.state >= 0)
+
+    @property
+    def confident_labels(self):
+        """Hard 0/1 label per confident voxel, as uint8."""
+        return self.state[self.state >= 0].astype(np.uint8)
 
 
 def node_energies(maps):
@@ -154,12 +163,6 @@ def _prune(p, energies, theta):
     cut = np.partition(flat, flat.size - n_conf)[flat.size - n_conf] if n_conf else np.inf
     confident = flat > cut
     confident[np.flatnonzero(flat == cut)[:n_conf - np.count_nonzero(confident)]] = True
-    conf, cand = np.flatnonzero(confident), np.flatnonzero(~confident)
-    mean_p = p.mean(axis=0).reshape(-1)
-    labels = (mean_p[conf] >= 0.5).astype(np.uint8)
-    return SelectionResult(
-        dims=p.shape[1:],
-        confident_idx=conf,
-        confident_labels=labels,
-        candidate_idx=cand,
-    )
+    state = (p.mean(axis=0).reshape(-1) >= 0.5).view(np.int8)
+    state[~confident] = -1
+    return SelectionResult(dims=p.shape[1:], state=state)

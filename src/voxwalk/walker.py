@@ -7,7 +7,10 @@ candidate neighbors through squared Gaussian intensity weights, and
 (optionally) to adjacent confident voxels through Dirichlet terms carrying
 their hard labels.  Stationarity yields a symmetric M-matrix system solved
 with Jacobi-preconditioned conjugate gradient.  No matrix is assembled: the
-solver applies the system to a vector straight from the edge list.
+solver applies the system to a vector straight from the edge list.  The
+selection arrives as one int8 state per voxel (-1 for a candidate, else the
+hard label); it gives the confident neighbors' labels, and the fused output
+is that state with the walker's values written over the candidates.
 
 The volumes stay in their own dtype (float32 as read from disk); only the
 candidate-sized arrays are float64: the gathered probabilities and
@@ -49,13 +52,12 @@ def edge_weight(ii, ij, beta):
 class CompactGraph:
     """Lattice subgraph on candidate voxels with terminal and boundary terms.
 
-    edges index into the candidate ordering; dirichlet rows fix the value a
-    candidate is pulled toward (a confident neighbor's hard label) with the
-    corresponding lattice weight.
+    edges index into the candidate ordering, the ascending voxel order of the
+    selection's candidates; dirichlet rows fix the value a candidate is
+    pulled toward (a confident neighbor's hard label) with the corresponding
+    lattice weight.
     """
 
-    dims: tuple
-    candidates: np.ndarray          # flat voxel index per candidate, ascending
     edges: np.ndarray               # [E,2] candidate positions
     edge_weights: np.ndarray        # [E]
     prior_fg: np.ndarray            # [n] = Σₖ (p_i^k)²
@@ -65,8 +67,7 @@ class CompactGraph:
     dirichlet_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        n = len(self.candidates)
-        if self.prior_fg.shape != (n,) or self.prior_bg.shape != (n,):
+        if self.prior_fg.ndim != 1 or self.prior_bg.shape != self.prior_fg.shape:
             raise ValueError("one (fg,bg) prior weight pair per candidate required")
         for w in (self.edge_weights, self.dirichlet_weights):
             # NaN propagates into min and max and fails both comparisons
@@ -77,7 +78,7 @@ class CompactGraph:
 
     @property
     def n_candidates(self):
-        return len(self.candidates)
+        return len(self.prior_fg)
 
 
 @dataclass
@@ -131,13 +132,13 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     min-max normalized to [0,1].  include_dirichlet=False drops the
     candidate-to-confident boundary terms (ablation switch).
 
-    Past two lattice lookups, an int32 candidate position and an int8
-    confident label per voxel, the cost scales with the candidates: per
-    axis, each candidate looks one step up and one step down the lattice.
-    A candidate pair is taken once, from its lower voxel; a confident
-    neighbor on either side gives a Dirichlet term.  Only the gathered
-    probabilities and intensities are widened to float64, and only the
-    gathered probabilities are checked.
+    Past one lattice lookup, an int32 candidate position per voxel, the
+    cost scales with the candidates: per axis, each candidate looks one
+    step up and one step down the lattice.  A candidate pair is taken
+    once, from its lower voxel; a confident neighbor on either side gives a
+    Dirichlet term, with the label the selection's state holds for it.
+    Only the gathered probabilities and intensities are widened to
+    float64, and only the gathered probabilities are checked.
     """
     p = as_prob_stack(maps)
     dims = tuple(p.shape[1:])
@@ -155,8 +156,6 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
         raise ValueError(f"assemble takes at most 2**31 - 1 voxels, got {n_vox}")
     pos = np.full(n_vox, -1, dtype=np.int32)
     pos[cand] = np.arange(len(cand), dtype=np.int32)
-    conf_label = np.full(n_vox, -1, dtype=np.int8)
-    conf_label[selection.confident_idx] = selection.confident_labels
 
     edge_i, edge_j, edge_w = [], [], []
     dir_i, dir_l, dir_w = [], [], []
@@ -173,20 +172,18 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
         edge_w.append(w[both])
         if include_dirichlet:
             dir_i.append(pos[a[~both]])
-            dir_l.append(conf_label[b[~both]])
+            dir_l.append(selection.state[b[~both]])
             dir_w.append(w[~both])
             b = cand[coord > 0]
             a = b - stride
             b_only = pos[a] < 0
             a, b = a[b_only], b[b_only]
             dir_i.append(pos[b])
-            dir_l.append(conf_label[a])
+            dir_l.append(selection.state[a])
             dir_w.append(edge_weight(gather(a), gather(b), beta))
 
     edges = np.stack([np.concatenate(edge_i), np.concatenate(edge_j)], axis=1)
     return CompactGraph(
-        dims=dims,
-        candidates=cand.copy(),
         edges=edges,
         edge_weights=np.concatenate(edge_w),
         prior_fg=(q ** 2).sum(axis=0),
@@ -270,15 +267,11 @@ def solve(graph, tol=1e-8, max_iters=None):
     """
     if not 0 < tol < np.inf:  # a negation, so that NaN is rejected
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    n = graph.n_candidates
-    if n == 0:
-        empty = np.zeros(0)
-        return WalkerSolution(empty, np.zeros(0, dtype=np.uint8), 0, 0.0)
     if max_iters is None:
-        max_iters = 10 * n
+        max_iters = 10 * graph.n_candidates
     apply, diag, b = build_system(graph)
     x, iterations, residual = _pcg(apply, b, diag, tol, max_iters)
-    if not (x.min() >= -1e-5 and x.max() <= 1.0 + 1e-5):
+    if x.size and not (x.min() >= -1e-5 and x.max() <= 1.0 + 1e-5):
         raise ValueError(
             f"maximum principle violated at tol {tol:.3e}: x in [{x.min()}, {x.max()}]")
     x = np.clip(x, 0.0, 1.0)
@@ -296,16 +289,15 @@ def refine(maps, intensity, theta, beta, tol=1e-8, include_dirichlet=True):
     the solved probabilities (confident voxels hold their label value).
     """
     p = as_prob_stack(maps)
-    dims = tuple(p.shape[1:])
     sel = select(p, theta)
     graph = assemble(sel, p, intensity, beta, include_dirichlet=include_dirichlet)
     sol = solve(graph, tol=tol)
-    labels = np.zeros(int(np.prod(dims)), dtype=np.uint8)
-    xfield = np.zeros(int(np.prod(dims)), dtype=p.dtype)
-    labels[sel.confident_idx] = xfield[sel.confident_idx] = sel.confident_labels
+    # the candidates' state, -1, is overwritten by the walker's values
+    labels = sel.state.astype(np.uint8)
+    xfield = sel.state.astype(p.dtype)
     labels[sel.candidate_idx] = sol.labels
     xfield[sel.candidate_idx] = sol.x
-    return RefineResult(labels.reshape(dims), xfield.reshape(dims),
+    return RefineResult(labels.reshape(sel.dims), xfield.reshape(sel.dims),
                         candidates=graph.n_candidates, edges=len(graph.edges),
                         dirichlet=len(graph.dirichlet_idx), iterations=sol.iterations,
                         residual=sol.residual)

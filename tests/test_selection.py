@@ -160,6 +160,17 @@ def test_selection_partition_invariant():
     assert len(np.intersect1d(sel.confident_idx, sel.candidate_idx)) == 0
 
 
+def test_selection_result_is_built_from_one_state_per_voxel():
+    state = np.array([1, -1, 0, 0, -1, 1], dtype=np.int8)
+    sel = SelectionResult(dims=(1, 2, 3), state=state)
+    assert np.array_equal(sel.candidate_idx, np.flatnonzero(state < 0))
+    assert np.array_equal(sel.confident_idx, [0, 2, 3, 5])
+    assert np.array_equal(sel.confident_labels, [1, 0, 0, 1])
+    for bad in (state[:5], np.append(state, 0), state.reshape(2, 3)):
+        with pytest.raises(ValueError, match="one entry per voxel"):
+            SelectionResult(dims=(1, 2, 3), state=bad)
+
+
 def test_probability_range_validated():
     with pytest.raises(ValueError, match=r"\[0,1\]"):
         select(np.full((1, 2, 2, 2), 1.4), 0.5)
@@ -222,3 +233,7 @@ def test_select_splits_stable_descending_order(maps, theta):
     mean_p = maps.mean(axis=0).reshape(-1)
     assert np.array_equal(sel.confident_labels, mean_p[sel.confident_idx] >= 0.5)
     assert sel.confident_labels.dtype == np.uint8
+    assert sel.state.dtype == np.int8
+    assert np.array_equal(np.flatnonzero(sel.state == -1), sel.candidate_idx)
+    assert np.array_equal(sel.confident_idx, np.flatnonzero(sel.state >= 0))
+    assert np.array_equal(sel.confident_labels, sel.state[sel.confident_idx])

@@ -16,6 +16,7 @@ convolution variant pools all three axes.
 """
 
 import json
+import numbers
 import struct
 
 import numpy as np
@@ -82,15 +83,18 @@ class NetworkSpec:
 @dataclass
 class TrainConfig:
     """Toy trainer settings: plain SGD on voxelwise binary cross-entropy,
-    one step per training sample."""
+    one step per training sample, for a whole number of epochs.  Both
+    fields are required; the default learning rate is PipelineConfig's."""
 
-    learning_rate: float = 1e-4
-    epochs: int = 1
+    learning_rate: float
+    epochs: int
 
     def __post_init__(self):
         # learning_rate 0 is allowed so a no-op training run can be tested
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -248,13 +252,13 @@ class RandomConnectionNet:
         volume = np.asarray(volume, dtype=self.dtype)
         if volume.ndim != 3:
             raise ValueError(f"expected a 3-D volume, got shape {volume.shape}")
-        factor = 2 ** self.spec.depth
-        pooled = (0, 1, 2) if self.spec.unit_type == "conv3d" else (1, 2)
-        for ax in pooled:
+        # pool_window[0] is the feature axis; the volume axes follow it
+        for ax, w in enumerate(self.pool_window[1:]):
+            factor = w ** self.spec.depth
             if volume.shape[ax] % factor != 0:
                 raise ValueError(
                     f"volume extent {volume.shape[ax]} on axis {ax} is not divisible "
-                    f"by 2^depth={factor}")
+                    f"by {w}^depth={factor}")
         return volume
 
     def _gates(self, mask):
@@ -356,34 +360,30 @@ def infer(net, volume, mode="expectation"):
     raise ValueError(f"mode must be 'expectation' or 'all-true', got {mode!r}")
 
 
-def train_toy(spec, config, dataset, connection_mode="sampled"):
-    """SGD training, one step per sample, with a freshly sampled connection
-    mask every step.
+def train_toy(spec, config, dataset):
+    """SGD training, one step per sample, with a fresh Bernoulli(spec.alpha)
+    connection mask every step.
 
+    A spec with alpha 1 draws all-true masks, so it trains the
+    fixed-connection network, and expectation-mode :func:`infer` of the
+    result keeps every skip.
     dataset: sequence of (volume, binary label volume) pairs.
-    connection_mode 'all-true' trains the fixed-connection network instead.
     Returns (net, per-epoch mean loss history).
     """
     if len(dataset) == 0:
         raise ValueError("dataset must not be empty")
-    if connection_mode not in ("sampled", "all-true"):
-        raise ValueError(f"unknown connection_mode {connection_mode!r}")
     for vol, lab in dataset:
         if np.shape(vol) != np.shape(lab):
             raise ValueError(
                 f"volume shape {np.shape(vol)} != label shape {np.shape(lab)}")
     net = RandomConnectionNet(spec)
     mask_rng = np.random.default_rng(np.random.SeedSequence(spec.rng_seed).spawn(2)[1])
-    all_true = np.ones(spec.depth, dtype=bool)
     history = []
     iteration = 0
     for _ in range(config.epochs):
         epoch_losses = []
         for vol, lab in dataset:
-            if connection_mode == "sampled":
-                mask = sample_mask(spec.alpha, spec.depth, mask_rng)
-            else:
-                mask = all_true
+            mask = sample_mask(spec.alpha, spec.depth, mask_rng)
             # overflow on the way to divergence is reported by the finiteness
             # check below, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):

@@ -159,27 +159,22 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
 
     edge_i, edge_j, edge_w = [], [], []
     dir_i, dir_l, dir_w = [], [], []
-    # in each pass a is a pair's lower voxel and b = a + stride its upper one
+    # a is a candidate and b its neighbor one step along the axis
     for ax, coord in enumerate(np.unravel_index(cand, dims)):
         stride = int(np.prod(dims[ax + 1:]))
-        a = cand[coord < dims[ax] - 1]
-        b = a + stride
-        w = edge_weight(gather(a), gather(b), beta)
-        pb = pos[b]
-        both = pb >= 0
-        edge_i.append(pos[a[both]])
-        edge_j.append(pb[both])
-        edge_w.append(w[both])
-        if include_dirichlet:
-            dir_i.append(pos[a[~both]])
-            dir_l.append(selection.state[b[~both]])
-            dir_w.append(w[~both])
-            b = cand[coord > 0]
-            a = b - stride
-            b_only = pos[a] < 0
-            a, b = a[b_only], b[b_only]
-            dir_i.append(pos[b])
-            dir_l.append(selection.state[a])
+        for step, inside in ((stride, coord < dims[ax] - 1), (-stride, coord > 0)):
+            a = cand[inside]
+            b = a + step
+            pb = pos[b]
+            both = pb >= 0
+            if step > 0:
+                edge_i.append(pos[a[both]])
+                edge_j.append(pb[both])
+                edge_w.append(edge_weight(gather(a[both]), gather(b[both]), beta))
+            confident = np.logical_and(~both, include_dirichlet)
+            a, b = a[confident], b[confident]
+            dir_i.append(pos[a])
+            dir_l.append(selection.state[b])
             dir_w.append(edge_weight(gather(a), gather(b), beta))
 
     edges = np.stack([np.concatenate(edge_i), np.concatenate(edge_j)], axis=1)
@@ -188,10 +183,9 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
         edge_weights=np.concatenate(edge_w),
         prior_fg=(q ** 2).sum(axis=0),
         prior_bg=((1.0 - q) ** 2).sum(axis=0),
-        dirichlet_idx=np.concatenate(dir_i) if dir_i else np.zeros(0, dtype=np.int64),
-        dirichlet_labels=(np.concatenate(dir_l).astype(np.uint8)
-                          if dir_l else np.zeros(0, dtype=np.uint8)),
-        dirichlet_weights=np.concatenate(dir_w) if dir_w else np.zeros(0),
+        dirichlet_idx=np.concatenate(dir_i),
+        dirichlet_labels=np.concatenate(dir_l).astype(np.uint8),
+        dirichlet_weights=np.concatenate(dir_w),
     )
 
 
@@ -257,7 +251,10 @@ def _pcg(apply, b, diag, tol, max_iters):
     return x, iterations, rel
 
 
-def solve(graph, tol=1e-8, max_iters=None):
+_MAX_ITERS_PER_CANDIDATE = 10   # past it, solve raises SolverError
+
+
+def solve(graph, tol=1e-8):
     """Minimize the walker energy over the candidate values.
 
     Solves the stationarity system to a relative residual <= tol, applying
@@ -267,10 +264,9 @@ def solve(graph, tol=1e-8, max_iters=None):
     """
     if not 0 < tol < np.inf:  # a negation, so that NaN is rejected
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if max_iters is None:
-        max_iters = 10 * graph.n_candidates
     apply, diag, b = build_system(graph)
-    x, iterations, residual = _pcg(apply, b, diag, tol, max_iters)
+    x, iterations, residual = _pcg(apply, b, diag, tol,
+                                   _MAX_ITERS_PER_CANDIDATE * graph.n_candidates)
     if x.size and not (x.min() >= -1e-5 and x.max() <= 1.0 + 1e-5):
         raise ValueError(
             f"maximum principle violated at tol {tol:.3e}: x in [{x.min()}, {x.max()}]")

@@ -202,23 +202,32 @@ def test_zero_learning_rate_leaves_parameters_unchanged():
         assert np.array_equal(arr, old)
 
 
-def test_alpha_one_training_matches_fixed_connection_trace():
+def test_alpha_one_trains_and_infers_the_fixed_connection_network(monkeypatch):
+    masks = []
+    original = RandomConnectionNet.loss_and_grads
+
+    def record_mask(self, volume, label, mask=None):
+        masks.append(mask)
+        return original(self, volume, label, mask)
+
+    monkeypatch.setattr(RandomConnectionNet, "loss_and_grads", record_mask)
     dataset = _threshold_dataset()
-    spec = NetworkSpec("conv3d", 1, (2, 2), alpha=1.0, rng_seed=12)
-    config = TrainConfig(learning_rate=0.3, epochs=5)
-    net_a, hist_a = train_toy(spec, config, dataset, connection_mode="sampled")
-    net_b, hist_b = train_toy(spec, config, dataset, connection_mode="all-true")
-    assert hist_a == hist_b
-    for (_, _, a), (_, _, b) in zip(net_a.parameters(), net_b.parameters()):
-        assert np.array_equal(a, b)
+    spec = NetworkSpec("conv3d", 2, (2, 2, 2), alpha=1.0, rng_seed=12)
+    net, _ = train_toy(spec, TrainConfig(learning_rate=0.3, epochs=5), dataset)
+    assert len(masks) == 5
+    for mask in masks:
+        assert isinstance(mask, np.ndarray) and mask.dtype == np.bool_
+        assert mask.shape == (2,) and mask.all()
+    vol = dataset[0][0]
+    assert np.array_equal(infer(net, vol), infer(net, vol, mode="all-true"))
 
 
 def test_training_requires_data_and_consistent_shapes():
     spec = NetworkSpec("conv3d", 1, (2, 2), rng_seed=0)
     with pytest.raises(ValueError, match="empty"):
-        train_toy(spec, TrainConfig(), [])
+        train_toy(spec, TrainConfig(learning_rate=0.1, epochs=1), [])
     with pytest.raises(ValueError, match="shape"):
-        train_toy(spec, TrainConfig(),
+        train_toy(spec, TrainConfig(learning_rate=0.1, epochs=1),
                   [(np.zeros((4, 4, 4)), np.zeros((4, 4, 2)))])
 
 
@@ -240,19 +249,25 @@ def test_nonfinite_gradient_with_finite_loss_diverges(monkeypatch):
     monkeypatch.setattr(RandomConnectionNet, "loss_and_grads", nan_head_bias)
     spec = NetworkSpec("conv3d", 1, (2, 2), rng_seed=13)
     with pytest.raises(TrainingDiverged, match="iteration 0"):
-        train_toy(spec, TrainConfig(learning_rate=0.1), _threshold_dataset())
+        train_toy(spec, TrainConfig(learning_rate=0.1, epochs=1), _threshold_dataset())
 
 
 def test_train_config_validation():
     with pytest.raises(ValueError, match="learning_rate"):
-        TrainConfig(learning_rate=-0.1)
-    TrainConfig(learning_rate=0.0)  # explicitly allowed
+        TrainConfig(learning_rate=-0.1, epochs=1)
+    TrainConfig(learning_rate=0.0, epochs=1)  # explicitly allowed
+    for epochs in (2.5, True):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            TrainConfig(learning_rate=0.1, epochs=epochs)
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        TrainConfig(learning_rate=0.1, epochs=0)
+    assert TrainConfig(learning_rate=0.1, epochs=np.int64(2)).epochs == 2
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
 def test_train_config_rejects_non_finite_learning_rate(rate):
     with pytest.raises(ValueError, match="learning_rate must be finite"):
-        TrainConfig(learning_rate=rate)
+        TrainConfig(learning_rate=rate, epochs=1)
 
 
 def test_checkpoint_roundtrip(tmp_path):

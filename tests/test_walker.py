@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voxwalk import selection
+from voxwalk import selection, walker
 from voxwalk.selection import SelectionResult, node_energies, select
 from voxwalk.walker import (
     CompactGraph,
@@ -155,10 +155,13 @@ def test_solution_is_local_minimum_of_energy():
         assert walker_energy_oracle(graph, sol.x + delta) >= base - 1e-15
 
 
-def test_solver_error_carries_residual():
+def test_solver_error_carries_residual(monkeypatch):
+    # a single-candidate Jacobi PCG is exact in one iteration, so only a
+    # zero iteration cap makes it fail
+    monkeypatch.setattr(walker, "_MAX_ITERS_PER_CANDIDATE", 0)
     graph = single_candidate_graph(0.7)
     with pytest.raises(SolverError, match="residual"):
-        solve(graph, tol=1e-16, max_iters=0)
+        solve(graph, tol=1e-16)
 
 
 def zero_prior_edge_graph():
@@ -543,6 +546,28 @@ def test_refine_obeys_the_maximum_principle_and_the_selection(
     assert np.array_equal(x[conf], sel.state[conf])
     cand = sel.candidate_idx
     assert np.array_equal(labels[cand], x[cand] >= 0.5)
+
+
+@pytest.mark.parametrize("include_dirichlet, digest", [
+    (True, "1cfa171a910cef8ff838220b7936788f90de401b1812eac9d6dc243a6dad1a41"),
+    (False, "556033d55fac7334462fa1fc505f125d4b55c749aeca79dc55a5d3ab85872df4"),
+], ids=["dirichlet", "no-dirichlet"])
+def test_assemble_output_bytes_are_pinned(include_dirichlet, digest):
+    # Pins the bytes of assemble's seven arrays, in their field order, on the
+    # seeded 16³ scene of test_refine_output_bytes_are_pinned, so a change to
+    # the order of edges or Dirichlet terms, or to one weight bit, shows.
+    # Only bytes are hashed, not dtypes: an empty array hashes the same in
+    # any dtype.
+    rng = np.random.default_rng(13)
+    maps = rng.random((3, 16, 16, 16), dtype=np.float32)
+    intensity = rng.random((16, 16, 16), dtype=np.float32)
+    graph = assemble(select(maps, 0.5), maps, intensity, 100.0,
+                     include_dirichlet=include_dirichlet)
+    got = hashlib.sha256()
+    for name in ("edges", "edge_weights", "prior_fg", "prior_bg", "dirichlet_idx",
+                 "dirichlet_labels", "dirichlet_weights"):
+        got.update(getattr(graph, name).tobytes())
+    assert got.hexdigest() == digest
 
 
 @pytest.mark.parametrize("include_dirichlet, digest", [

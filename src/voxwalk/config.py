@@ -25,10 +25,10 @@ class PipelineConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if not (isinstance(self.seeds, dict)
+        if not (isinstance(self.seeds, dict) and set(self.seeds) <= {"network"}
                 and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                         for v in self.seeds.values())):
-            raise ValueError(f"seeds must map names to integers, got {self.seeds!r}")
+            raise ValueError(f"seeds may only map \"network\" to an integer, got {self.seeds!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
         if not 0.0 <= self.theta <= 1.0:

@@ -90,9 +90,12 @@ class TrainConfig:
     epochs: int
 
     def __post_init__(self):
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
+            raise ValueError(f"learning_rate must be a number, got {lr!r}")
         # learning_rate 0 is allowed so a no-op training run can be tested
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0 <= lr < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {lr}")
         if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
             raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
@@ -196,11 +199,13 @@ class ConvLSTMUnit:
 class RandomConnectionNet:
     """Network object: spec plus parameters plus the forward/backward rules.
 
-    The parameters are float32, the dtype checkpoints store, so a loaded
-    net is the saved one bit for bit.  The net computes in the dtype of its
-    parameters: volumes, labels and skip gates are cast to it, since under
-    NEP 50 a float64 gate scalar would promote every skip sum to float64.
-    Promote every parameter to float64 and the same code runs in float64.
+    The parameters are one flat float32 vector, params, in declaration
+    order, and each layer array is a view of it.  float32 is the dtype
+    checkpoints store, so a loaded net is the saved one bit for bit.  The
+    net computes in the dtype of its parameters: volumes, labels and skip
+    gates are cast to it, since under NEP 50 a float64 gate scalar would
+    promote every skip sum to float64.  Rebind a float64 copy of params
+    with _bind and the same code runs in float64.
     """
 
     def __init__(self, spec):
@@ -231,22 +236,23 @@ class RandomConnectionNet:
             self._layers.append(self.decoders[i])
         self._layers.append(self.head)
         # cast after drawing, so the draws and their order stay those of the layers
+        self._bind(np.concatenate([getattr(layer, key) for layer in self._layers
+                                   for key in layer.keys], axis=None).astype(np.float32))
+
+    def _bind(self, params):
+        """Hold the parameters in the flat vector params, each layer array a view of it."""
+        self.params = params
+        offset = 0
         for layer in self._layers:
             for key in layer.keys:
-                setattr(layer, key, getattr(layer, key).astype(np.float32))
+                arr = getattr(layer, key)
+                setattr(layer, key, params[offset:offset + arr.size].reshape(arr.shape))
+                offset += arr.size
 
     @property
     def dtype(self):
         """The dtype of the parameters, in which the net computes."""
-        return self.head.weights.dtype
-
-    def parameters(self):
-        """Parameter arrays as (layer_index, key, array), in declaration order."""
-        out = []
-        for j, layer in enumerate(self._layers):
-            for key in layer.keys:
-                out.append((j, key, getattr(layer, key)))
-        return out
+        return self.params.dtype
 
     def _check_volume(self, volume):
         volume = np.asarray(volume, dtype=self.dtype)
@@ -312,7 +318,8 @@ class RandomConnectionNet:
         dy, g = self.head.backward(dz, hc)
         grads = [g]
         self._backward_level(0, dy, lc, gates, grads)
-        return grads[::-1]
+        return np.concatenate([g[key] for layer, g in zip(self._layers, grads[::-1])
+                               for key in layer.keys], axis=None)
 
     def forward(self, volume, mask=None):
         """Per-voxel foreground probabilities in (0,1), shape = volume shape.
@@ -325,10 +332,10 @@ class RandomConnectionNet:
         return sigmoid(z[0])
 
     def loss_and_grads(self, volume, label, mask=None):
-        """Voxelwise binary cross-entropy and its gradients.
+        """Voxelwise binary cross-entropy and its gradient.
 
-        Returns (loss, grads) where grads is a per-layer list of dicts
-        aligned with the layer order used by :meth:`parameters`.
+        Returns (loss, grad) where grad is one flat vector in the dtype and
+        element order of :attr:`params`.
         """
         gates = self._gates(mask)
         z, caches = self._forward_full(volume, gates)
@@ -338,13 +345,10 @@ class RandomConnectionNet:
         with np.errstate(over="ignore", invalid="ignore"):
             loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
             dz = (sigmoid(z) - y) / z.size
-        grads = self._backward_full(dz, caches, gates)
-        return loss, grads
+        return loss, self._backward_full(dz, caches, gates)
 
-    def apply_gradients(self, grads, lr):
-        for layer, g in zip(self._layers, grads):
-            for key, dval in g.items():
-                getattr(layer, key)[...] -= lr * dval
+    def apply_gradients(self, grad, lr):
+        self.params -= lr * grad
 
 
 def infer(net, volume, mode="expectation"):
@@ -387,12 +391,10 @@ def train_toy(spec, config, dataset):
             # overflow on the way to divergence is reported by the finiteness
             # check below, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = net.loss_and_grads(vol, lab, mask=mask)
-            finite = np.isfinite(loss) and all(
-                np.isfinite(d).all() for g in grads for d in g.values())
-            if not finite:
+                loss, grad = net.loss_and_grads(vol, lab, mask=mask)
+            if not (np.isfinite(loss) and np.isfinite(grad).all()):
                 raise TrainingDiverged(iteration, loss)
-            net.apply_gradients(grads, config.learning_rate)
+            net.apply_gradients(grad, config.learning_rate)
             epoch_losses.append(loss)
             iteration += 1
         history.append(float(np.mean(epoch_losses)))
@@ -404,12 +406,12 @@ CHECKPOINT_FORMAT = "rcnet-checkpoint"
 
 def save_checkpoint(path, net):
     """Write spec + parameters: a length-prefixed UTF-8 JSON header followed
-    by each parameter tensor as little-endian float32 in declaration order."""
+    by the flat parameter vector as one little-endian float32 block, each
+    tensor in declaration order."""
     header = {"format": CHECKPOINT_FORMAT, "version": 1, "spec": asdict(net.spec)}
     blob = json.dumps(header).encode("utf-8")
-    tensors = [np.ascontiguousarray(arr, dtype="<f4").tobytes()
-               for _, _, arr in net.parameters()]
-    _atomic_write(path, b"".join([struct.pack("<I", len(blob)), blob, *tensors]))
+    _atomic_write(path, b"".join([struct.pack("<I", len(blob)), blob,
+                                  net.params.astype("<f4").tobytes()]))
 
 
 def load_checkpoint(path):
@@ -436,14 +438,10 @@ def load_checkpoint(path):
         net = RandomConnectionNet(NetworkSpec(**header["spec"]))
     except (TypeError, ValueError) as exc:  # unknown, missing or ill-typed keys
         raise ValueError(f"checkpoint {path} has an invalid spec: {exc}") from None
-    offset = 4 + hlen
-    for _, key, arr in net.parameters():
-        nbytes = arr.size * 4
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise ValueError(f"checkpoint {path} ends early in tensor {key!r}")
-        arr[...] = np.frombuffer(chunk, dtype="<f4").reshape(arr.shape)
-        offset += nbytes
-    if offset != len(raw):
-        raise ValueError(f"checkpoint {path} has {len(raw) - offset} trailing bytes")
+    extra = len(raw) - 4 - hlen - net.params.size * 4
+    if extra < 0:
+        raise ValueError(f"checkpoint {path} ends early: {-extra} parameter bytes missing")
+    if extra > 0:
+        raise ValueError(f"checkpoint {path} has {extra} trailing bytes")
+    net.params[...] = np.frombuffer(raw, dtype="<f4", offset=4 + hlen)
     return net

@@ -366,6 +366,7 @@ def test_whole_pipeline_runs_and_infer_matches_the_library(tmp_path):
     ({"seeds": [1]}, "seeds"),
     (["theta", 0.5], "JSON object"),
     ({"seeds": {"network": True}}, "seeds"),
+    ({"seeds": {"netwrok": 5}}, "netwrok"),
 ])
 def test_refine_rejects_malformed_config(tmp_path, scene, config, key):
     intensity, probs = scene

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -171,9 +172,9 @@ def test_network_computes_in_float32_end_to_end(monkeypatch, make, dims):
     rng = np.random.default_rng(18)
     vol = rng.normal(0.5, 0.3, dims)
     label = (vol > 0.5).astype(np.float64)
-    assert {arr.dtype for _, _, arr in net.parameters()} == {np.dtype(np.float32)}
-    _, grads = net.loss_and_grads(vol, label, mask=np.array([True, False]))
-    assert {d.dtype for g in grads for d in g.values()} == {np.dtype(np.float32)}
+    assert net.params.dtype == np.float32
+    _, grad = net.loss_and_grads(vol, label, mask=np.array([True, False]))
+    assert grad.dtype == np.float32 and grad.shape == net.params.shape
     assert net.forward(vol).dtype == np.float32
     assert {n for n, _ in seen} >= {"conv3d_forward", "conv3d_backward"}
     assert [(n, d) for n, d in seen if d != np.float32] == []
@@ -195,11 +196,10 @@ def test_training_halves_bce_on_threshold_task():
 
 def test_zero_learning_rate_leaves_parameters_unchanged():
     spec = NetworkSpec("conv3d", 1, (2, 2), rng_seed=11)
-    before = [arr.copy() for _, _, arr in RandomConnectionNet(spec).parameters()]
+    before = RandomConnectionNet(spec).params.copy()
     net, _ = train_toy(spec, TrainConfig(learning_rate=0.0, epochs=3),
                        _threshold_dataset())
-    for (_, _, arr), old in zip(net.parameters(), before):
-        assert np.array_equal(arr, old)
+    assert np.array_equal(net.params, before)
 
 
 def test_alpha_one_trains_and_infers_the_fixed_connection_network(monkeypatch):
@@ -242,9 +242,9 @@ def test_nonfinite_gradient_with_finite_loss_diverges(monkeypatch):
     original = RandomConnectionNet.loss_and_grads
 
     def nan_head_bias(self, volume, label, mask=None):
-        loss, grads = original(self, volume, label, mask)
-        grads[-1]["bias"][...] = np.nan
-        return loss, grads
+        loss, grad = original(self, volume, label, mask)
+        grad[-1] = np.nan  # the head bias, the last parameter
+        return loss, grad
 
     monkeypatch.setattr(RandomConnectionNet, "loss_and_grads", nan_head_bias)
     spec = NetworkSpec("conv3d", 1, (2, 2), rng_seed=13)
@@ -253,8 +253,9 @@ def test_nonfinite_gradient_with_finite_loss_diverges(monkeypatch):
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError, match="learning_rate"):
-        TrainConfig(learning_rate=-0.1, epochs=1)
+    for rate in (-0.1, True, "0.1"):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate, epochs=1)
     TrainConfig(learning_rate=0.0, epochs=1)  # explicitly allowed
     for epochs in (2.5, True):
         with pytest.raises(ValueError, match="epochs must be an integer"):
@@ -280,8 +281,7 @@ def test_checkpoint_roundtrip(tmp_path):
         back = load_checkpoint(path)
         assert back.spec == net.spec
         # the parameters are float32, the dtype the checkpoint stores
-        for (_, _, a), (_, _, b) in zip(net.parameters(), back.parameters()):
-            assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
+        assert back.params.dtype == np.float32 and np.array_equal(net.params, back.params)
         assert np.array_equal(net.forward(vol), back.forward(vol))
 
 
@@ -325,15 +325,49 @@ def test_checkpoint_corruption_detected(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net)
     blob = path.read_bytes()
-    (tmp_path / "short.ckpt").write_bytes(blob[:-8])
-    with pytest.raises(ValueError, match="ends early"):
-        load_checkpoint(tmp_path / "short.ckpt")
-    (tmp_path / "long.ckpt").write_bytes(blob + b"\x00\x00\x00\x00")
-    with pytest.raises(ValueError, match="trailing"):
-        load_checkpoint(tmp_path / "long.ckpt")
+    # whole and partial float32 words
+    for cut in (8, 1):
+        (tmp_path / "short.ckpt").write_bytes(blob[:-cut])
+        with pytest.raises(ValueError, match="ends early"):
+            load_checkpoint(tmp_path / "short.ckpt")
+    for pad in (4, 1):
+        (tmp_path / "long.ckpt").write_bytes(blob + b"\x00" * pad)
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(tmp_path / "long.ckpt")
     (tmp_path / "junk.ckpt").write_bytes(b"\x02\x00\x00\x00{}")
     with pytest.raises(ValueError, match="not a network checkpoint"):
         load_checkpoint(tmp_path / "junk.ckpt")
+
+
+@pytest.mark.parametrize("make, dims", [(small_conv_net, (8, 8, 8)),
+                                        (small_lstm_net, (3, 8, 8))])
+def test_layer_arrays_are_views_of_params(tmp_path, make, dims):
+    def assert_views_in_declaration_order(net):
+        offset = 0
+        for layer in net._layers:
+            for key in layer.keys:
+                arr = getattr(layer, key)
+                assert arr.dtype == net.params.dtype and np.shares_memory(arr, net.params)
+                assert arr.ctypes.data == net.params.ctypes.data + offset * arr.itemsize
+                offset += arr.size
+        assert offset == net.params.size
+
+    net = make(seed=19, depth=2, widths=(2, 3, 4))
+    vol = np.random.default_rng(19).normal(0.5, 0.3, dims)
+    assert_views_in_declaration_order(net)
+    save_checkpoint(tmp_path / "net.ckpt", net)
+    blob = (tmp_path / "net.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<I", blob[:4])
+    assert net.params.size * 4 == len(blob) - 4 - hlen
+    assert not np.all(net.forward(vol) == 0.5)
+    # all-zero parameters make every unit output 0, so z = 0
+    net.params[...] = 0.0
+    assert np.all(net.forward(vol) == 0.5)
+    net._bind(net.params.astype(np.float64))
+    assert_views_in_declaration_order(net)
+    net.params[-1] = 2.0  # the head bias
+    p = net.forward(vol)
+    assert p.dtype == np.float64 and np.all(p == sigmoid(np.float64(2.0)))
 
 
 def test_infer_modes():
@@ -344,26 +378,6 @@ def test_infer_modes():
                           net.forward(vol, mask=np.array([True])))
     with pytest.raises(ValueError, match="mode"):
         infer(net, vol, mode="sampled")
-
-
-def flatten_params(net):
-    return np.concatenate([arr.reshape(-1) for _, _, arr in net.parameters()])
-
-
-def scatter_params(net, vec):
-    offset = 0
-    for _, _, arr in net.parameters():
-        arr[...] = vec[offset:offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-
-
-def promote_to_float64(net):
-    """Hold every parameter in float64, so the net computes in float64 and
-    central differences resolve the gradient."""
-    for layer in net._layers:
-        for key in layer.keys:
-            setattr(layer, key, getattr(layer, key).astype(np.float64))
-    return net
 
 
 def stability_signature(net, vol):
@@ -395,32 +409,30 @@ def network_loss_grad_check(unit_type, seed, epsilon=1e-4):
     """
     rng = np.random.default_rng(seed)
     if unit_type == "conv3d":
-        net = promote_to_float64(small_conv_net(seed=seed))
-        dims = (4, 4, 4)
+        net, dims = small_conv_net(seed=seed), (4, 4, 4)
     else:
-        net = promote_to_float64(small_lstm_net(seed=seed))
-        dims = (3, 4, 4)
+        net, dims = small_lstm_net(seed=seed), (3, 4, 4)
+    # float64 parameters, so the net computes in float64 and central
+    # differences resolve the gradient
+    net._bind(net.params.astype(np.float64))
     vol = rng.normal(0.5, 0.25, dims)
     label = (rng.random(dims) > 0.5).astype(np.float64)
-    base = flatten_params(net)
+    base = net.params.copy()
     direction = rng.normal(size=base.size)
     direction /= np.linalg.norm(direction)
 
     def f(vec):
-        scatter_params(net, vec)
-        loss, grads = net.loss_and_grads(vol, label)
-        flat = np.concatenate([
-            np.concatenate([g[key].reshape(-1) for key in layer.keys])
-            for layer, g in zip(net._layers, grads)])
-        scatter_params(net, base)
-        return loss, flat
+        net.params[...] = vec
+        loss, grad = net.loss_and_grads(vol, label)
+        net.params[...] = base
+        return loss, grad
 
     if unit_type == "conv3d":
-        scatter_params(net, base + epsilon * direction)
+        net.params[...] = base + epsilon * direction
         sig_plus = stability_signature(net, vol)
-        scatter_params(net, base - epsilon * direction)
+        net.params[...] = base - epsilon * direction
         sig_minus = stability_signature(net, vol)
-        scatter_params(net, base)
+        net.params[...] = base
         if any(not np.array_equal(a, b) for a, b in zip(sig_plus, sig_minus)):
             return None
     return grad_check(f, base, direction, epsilon)

@@ -22,7 +22,7 @@ from .walker import (
     refine,
     solve,
 )
-from .metrics import dice, stage_report
+from .metrics import dice
 from .volio import read_volume, synth, write_volume
 from .config import PipelineConfig
 

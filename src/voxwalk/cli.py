@@ -1,9 +1,8 @@
 """Command-line pipeline driver.
 
-Subcommands: synth, train, infer, select, refine, dice, report.  Machine
-readable results go only to the declared output files (or stdout for
-`dice`); progress logs go to stderr.  Exit codes: 0 success, 1 runtime
-failure, 2 usage error.
+Subcommands: synth, train, infer, refine, dice.  Machine readable results
+go only to the declared output files (or stdout for `dice`); progress logs
+go to stderr.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 import argparse
@@ -14,7 +13,6 @@ import numpy as np
 
 from . import metrics, network, volio, walker
 from .config import PipelineConfig
-from .selection import _prune, node_energies
 
 
 def _log(msg):
@@ -95,18 +93,6 @@ def _read_prob_maps(paths):
     return maps
 
 
-def _cmd_select(args):
-    cfg = _load_config(args)
-    maps = _read_prob_maps(args.probs)
-    energies = node_energies(maps)
-    volio.write_volume(args.out_energy, energies, "intensity")
-    if args.out_confident:
-        sel = _prune(maps, energies, cfg.theta)
-        volio.write_volume(args.out_confident, (sel.state >= 0).reshape(sel.dims), "label")
-    _log(f"select: K={len(args.probs)} theta={cfg.theta} -> {args.out_energy}")
-    return 0
-
-
 def _cmd_refine(args):
     t0 = perf_counter()
     cfg = _load_config(args)
@@ -133,23 +119,6 @@ def _cmd_dice(args):
     return 0
 
 
-def _cmd_report(args):
-    truth, _ = volio.read_volume(args.truth, expect_kind="label")
-    stages = []
-    for item in args.stage:
-        name, _, path = item.partition("=")
-        if not path:
-            raise ValueError(f"--stage expects name=path, got {item!r}")
-        data, _ = volio.read_volume(path, expect_kind="label")
-        stages.append((name, data))
-    rows = metrics.stage_report(truth, stages)
-    text = metrics.report_csv(rows)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    _log(f"report: {len(rows)} stage(s) -> {args.out}")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="voxwalk",
@@ -173,7 +142,8 @@ def build_parser():
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--widths", default="8,16,32")
     p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--temporal-kernel", type=int, default=3)
+    p.add_argument("--temporal-kernel", type=int, default=3,
+                   help="depth extent of the kernel (conv3d units only)")
     p.add_argument("--alpha", type=float)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--epochs", type=int, default=1)
@@ -187,14 +157,6 @@ def build_parser():
     p.add_argument("--mode", choices=("expectation", "all-true"), default="expectation")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_infer)
-
-    p = sub.add_parser("select", help="dump selection energies (diagnostic)")
-    p.add_argument("--config")
-    p.add_argument("--probs", nargs="+", required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--out-energy", required=True)
-    p.add_argument("--out-confident")
-    p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("refine", help="fuse probability maps into labels")
     p.add_argument("--config")
@@ -212,12 +174,6 @@ def build_parser():
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=_cmd_dice)
-
-    p = sub.add_parser("report", help="CSV of per-stage Dice vs ground truth")
-    p.add_argument("--truth", required=True)
-    p.add_argument("--stage", action="append", default=[], metavar="NAME=PATH")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
 
     return parser
 

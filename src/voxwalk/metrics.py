@@ -1,7 +1,4 @@
-"""Dice overlap and per-stage comparison reports."""
-
-import csv
-import io
+"""Dice overlap of two label volumes."""
 
 import numpy as np
 
@@ -16,22 +13,3 @@ def dice(a, b):
     if total == 0:
         return 1.0
     return 2.0 * int((a & b).sum()) / total
-
-
-def stage_report(ground_truth, stages):
-    """Dice of each named pipeline stage against the ground truth.
-
-    stages: sequence of (name, label array).  Returns a list of
-    (name, dice) rows in input order.
-    """
-    return [(name, dice(ground_truth, vol)) for name, vol in stages]
-
-
-def report_csv(rows):
-    """Render report rows as CSV text: header `stage,dice`, 6 decimals, and
-    stage names quoted where they hold a comma, a quote or a line break."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("stage", "dice"))
-    writer.writerows((name, f"{value:.6f}") for name, value in rows)
-    return buf.getvalue()

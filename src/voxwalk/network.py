@@ -53,6 +53,9 @@ class NetworkSpec:
 
     widths has depth+1 entries: feature-map counts from full resolution down
     to the bridge level.  alpha is the skip-connection keep probability.
+    temporal_kernel is the depth extent of a conv3d unit's kernels; a
+    ConvLSTM unit convolves each step in 2D and ignores it.  The fields are
+    checked by type too, since a checkpoint header may hold any JSON value.
     """
 
     unit_type: str
@@ -66,6 +69,10 @@ class NetworkSpec:
     def __post_init__(self):
         if self.unit_type not in UNIT_TYPES:
             raise ValueError(f"unit_type must be one of {UNIT_TYPES}, got {self.unit_type!r}")
+        for name in ("depth", "kernel", "temporal_kernel", "rng_seed"):
+            _check_integer(name, getattr(self, name))
+        for w in self.widths:
+            _check_integer("widths", w)
         self.widths = tuple(int(w) for w in self.widths)
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
@@ -76,8 +83,16 @@ class NetworkSpec:
             raise ValueError(f"widths must all be >= 1, got {self.widths}")
         if self.kernel < 1 or self.temporal_kernel < 1:
             raise ValueError("kernel extents must be >= 1")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
+
+
+def _check_integer(name, value):
+    # bool is an int subclass, and 2.9 is no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -96,8 +111,7 @@ class TrainConfig:
         # learning_rate 0 is allowed so a no-op training run can be tested
         if not 0 <= lr < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {lr}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
-            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
+        _check_integer("epochs", self.epochs)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

@@ -152,13 +152,7 @@ def select(maps, theta):
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
     p = as_prob_stack(maps)
-    return _prune(p, node_energies(p), theta)
-
-
-def _prune(p, energies, theta):
-    """The pruning of :func:`select`, given the [K,D,H,W] stack p and its
-    node energies."""
-    flat = energies.reshape(-1)
+    flat = node_energies(p).reshape(-1)
     n_conf = int(math.floor(flat.size * theta))
     cut = np.partition(flat, flat.size - n_conf)[flat.size - n_conf] if n_conf else np.inf
     confident = flat > cut

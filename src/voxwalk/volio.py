@@ -11,6 +11,7 @@ float32 without widening it.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -106,7 +107,7 @@ def read_volume(path, expect_kind=None):
         raise ValueError(f"{path}: unknown volume kind {kind!r}")
     if expect_kind is not None and kind != expect_kind:
         raise ValueError(f"{path}: expected a {expect_kind} volume, found {kind}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: an int64 product wraps for huge dims
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size != 4 * count:

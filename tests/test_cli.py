@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxwalk import cli, metrics, network, selection, walker
+from voxwalk import cli, network, selection, walker
 from voxwalk.config import PipelineConfig
-from voxwalk.selection import node_energies, select
 from voxwalk.volio import read_volume, sidecar_path, write_volume
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,11 +67,16 @@ def test_malformed_sidecar_exits_1(labels, sidecar):
     assert str(labels[1]) in out.stderr
 
 
-def test_usage_error_exits_2(labels):
-    out = run_cli("dice", labels[0])
+@pytest.mark.parametrize("command, words", [
+    ("dice", "usage: voxwalk dice"),
+    ("select", "invalid choice: 'select'"),
+    ("report", "invalid choice: 'report'"),
+], ids=["dice", "select", "report"])
+def test_usage_error_exits_2(labels, command, words):
+    out = run_cli(command, labels[0])
     assert out.returncode == 2
     assert out.stdout == ""
-    assert out.stderr.startswith("usage: voxwalk dice")
+    assert out.stderr.startswith("usage: voxwalk") and words in out.stderr
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])
@@ -133,6 +137,9 @@ SPEC = {"unit_type": "conv3d", "depth": 1, "widths": [2, 3]}
     (["rcnet-checkpoint", 1], "not a network checkpoint"),
     ({"format": "rcnet-checkpoint", "version": 1, "spec": dict(SPEC, gamma=1)}, "gamma"),
     ({"format": "rcnet-checkpoint", "version": 9, "spec": SPEC}, "version 9"),
+    ({"format": "rcnet-checkpoint", "version": 1, "spec": dict(SPEC, widths=[2.9, 3])},
+     "widths"),
+    ({"format": "rcnet-checkpoint", "version": 1, "spec": dict(SPEC, depth=True)}, "depth"),
 ])
 def test_infer_rejects_malformed_checkpoint(tmp_path, header, words):
     ckpt, volume = tmp_path / "net.ckpt", tmp_path / "v.raw"
@@ -242,54 +249,20 @@ def test_refine_labels_equal_the_library_on_the_read_arrays(tmp_path, scene):
     assert read_volume(tmp_path / "x.raw")[0].tobytes() == want.x.tobytes()
 
 
-def test_select_writes_the_energies_and_confident_voxels_of_the_read_maps(tmp_path, scene):
-    _, probs = scene
-    out = run_cli("select", "--probs", *probs, "--theta", "0.5",
-                  "--out-energy", tmp_path / "e.raw", "--out-confident", tmp_path / "c.raw")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == ""
-    maps = np.stack([read_volume(p)[0] for p in probs])
-    energies, _ = read_volume(tmp_path / "e.raw", expect_kind="intensity")
-    assert energies.tobytes() == node_energies(maps).astype(np.float32).tobytes()
-    confident, _ = read_volume(tmp_path / "c.raw", expect_kind="label")
-    want = select(maps, 0.5).confident_idx
-    assert 0 < len(want) < maps[0].size
-    assert np.array_equal(np.flatnonzero(confident), want)
-
-
-def test_select_scores_the_maps_once(tmp_path, scene, monkeypatch, capsys):
-    """--out-confident prunes the energies written to --out-energy."""
-    _, probs = scene
+def test_refine_scores_the_maps_once(tmp_path, scene, monkeypatch, capsys):
+    """One refine scores the whole [K,D,H,W] stack it read, and only once."""
+    intensity, probs = scene
     calls = []
 
     def counted(maps, score=selection.node_energies):
         calls.append(maps.shape)
         return score(maps)
 
-    monkeypatch.setattr(cli, "node_energies", counted)
     monkeypatch.setattr(selection, "node_energies", counted)
-    code = cli.main(["select", "--probs", *map(str, probs), "--theta", "0.5",
-                     "--out-energy", str(tmp_path / "e.raw"),
-                     "--out-confident", str(tmp_path / "c.raw")])
+    code = cli.main(["refine", "--probs", *map(str, probs), "--intensity", str(intensity),
+                     "--theta", "0.5", "--out", str(tmp_path / "o.raw")])
     assert code == 0, capsys.readouterr().err
     assert calls == [(2, 8, 8, 8)]
-
-
-def test_report_writes_the_csv_of_the_library_stage_report(tmp_path, scene):
-    _, probs = scene
-    stages = [("p0", tmp_path / "s0.raw"), ("p1, shifted", tmp_path / "s1.raw")]
-    for (_, path), prob in zip(stages, probs):
-        write_volume(path, (read_volume(prob)[0] >= 0.5).astype(np.float32), "label")
-    out = run_cli("report", "--truth", tmp_path / "l.raw",
-                  *[arg for name, path in stages for arg in ("--stage", f"{name}={path}")],
-                  "--out", tmp_path / "r.csv")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == ""
-    truth, _ = read_volume(tmp_path / "l.raw")
-    want = metrics.report_csv(metrics.stage_report(
-        truth, [(name, read_volume(path)[0]) for name, path in stages]))
-    assert (tmp_path / "r.csv").read_text(encoding="utf-8") == want
-    assert want.splitlines()[2].startswith('"p1, shifted",')
 
 
 def test_train_infer_and_refine_log_their_wall_time(tmp_path, scene):

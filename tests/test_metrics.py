@@ -1,10 +1,7 @@
-import csv
-import io
-
 import numpy as np
 import pytest
 
-from voxwalk.metrics import dice, report_csv, stage_report
+from voxwalk.metrics import dice
 
 
 def test_dice_identical_volumes():
@@ -57,25 +54,3 @@ def test_dice_invariant_under_shared_permutation():
     assert dice(a.reshape(2, 3, 4), b.reshape(2, 3, 4)) == pytest.approx(
         dice(a[perm].reshape(2, 3, 4), b[perm].reshape(2, 3, 4)))
 
-
-def test_stage_report_rows():
-    truth = np.zeros((2, 2, 2), dtype=np.uint8)
-    truth[0] = 1
-    rows = stage_report(truth, [("exact", truth.copy()), ("empty", np.zeros_like(truth))])
-    assert rows[0] == ("exact", 1.0)
-    assert rows[1] == ("empty", 0.0)
-
-
-def test_stage_report_empty_is_empty_table():
-    rows = stage_report(np.zeros((2, 2, 2), dtype=np.uint8), [])
-    assert rows == []
-    assert report_csv(rows) == "stage,dice\n"
-
-
-def test_report_csv_format():
-    text = report_csv([("raw", 0.5), ("refined", 2.0 / 3.0)])
-    assert text == "stage,dice\nraw,0.500000\nrefined,0.666667\n"
-    text = report_csv([("a,b", 0.25), ('say "x"', 1.0)])
-    assert text == 'stage,dice\n"a,b",0.250000\n"say ""x""",1.000000\n'
-    assert list(csv.reader(io.StringIO(text))) == [
-        ["stage", "dice"], ["a,b", "0.250000"], ['say "x"', "1.000000"]]

@@ -62,6 +62,19 @@ def test_spec_validation():
         NetworkSpec("conv3d", 1, (2, 2), alpha=1.5)
     with pytest.raises(ValueError, match=">= 1"):
         NetworkSpec("conv3d", 1, (2, 0))
+    # a checkpoint header may hold any JSON value: no bool, and no fraction
+    for field, value in [("depth", True), ("depth", 1.0), ("kernel", 3.5),
+                         ("temporal_kernel", True), ("rng_seed", True), ("rng_seed", 0.5)]:
+        with pytest.raises(ValueError, match=field):
+            NetworkSpec(**{"unit_type": "conv3d", "depth": 1, "widths": (2, 2), field: value})
+    for widths in [(2.9, 3), (2, 3.5), (True, 2)]:
+        with pytest.raises(ValueError, match="widths"):
+            NetworkSpec("conv3d", 1, widths)
+    for alpha in [True, "0.5", None]:
+        with pytest.raises(ValueError, match="alpha"):
+            NetworkSpec("conv3d", 1, (2, 2), alpha=alpha)
+    spec = NetworkSpec("conv3d", np.int64(1), (np.int64(2), np.int32(3)), alpha=np.float32(0.5))
+    assert spec.widths == (2, 3) and all(type(w) is int for w in spec.widths)
 
 
 def test_forward_probabilities_in_open_interval():

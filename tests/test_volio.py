@@ -71,6 +71,16 @@ def intensity_sidecar(dims):
                        "kind": "intensity"})
 
 
+def test_payload_length_of_huge_dims_does_not_wrap(tmp_path):
+    """2**32 * 2**32 voxels wrap to 0 in int64; the empty payload must not pass."""
+    path = tmp_path / "v.raw"
+    path.write_bytes(b"")
+    (tmp_path / sidecar_path("v.raw")).write_text(intensity_sidecar([2**32, 2**32, 1]))
+    with pytest.raises(ValueError, match="bytes") as info:
+        read_volume(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("sidecar", [
     '{"dtype": "f32"}', "[1, 2]", '{"dims": 8}', "{",
     # each of these dims fits the 32-byte payload, so only the dims check stops it

@@ -19,15 +19,9 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _load_config(args):
-    cfg = PipelineConfig.load(args.config) if getattr(args, "config", None) else PipelineConfig()
-    return cfg.replace(
-        alpha=getattr(args, "alpha", None),
-        theta=getattr(args, "theta", None),
-        beta=getattr(args, "beta", None),
-        learning_rate=getattr(args, "learning_rate", None),
-        solver_tol=getattr(args, "tol", None),
-    )
+def int_list(text):
+    """Parse a comma-separated list of integers, e.g. "8,16,32"."""
+    return tuple(int(w) for w in text.split(","))
 
 
 def _cmd_synth(args):
@@ -41,7 +35,6 @@ def _cmd_synth(args):
 
 def _cmd_train(args):
     t0 = perf_counter()
-    cfg = _load_config(args)
     if len(args.volume) != len(args.label):
         raise ValueError("--volume and --label must be given the same number of times")
     dataset = []
@@ -49,21 +42,20 @@ def _cmd_train(args):
         vol, _ = volio.read_volume(vpath, expect_kind="intensity")
         lab, _ = volio.read_volume(lpath, expect_kind="label")
         dataset.append((vol, lab))
-    widths = tuple(int(w) for w in args.widths.split(","))
     spec = network.NetworkSpec(
         unit_type=args.unit,
         depth=args.depth,
-        widths=widths,
+        widths=args.widths,
         kernel=args.kernel,
         temporal_kernel=args.temporal_kernel,
-        alpha=cfg.alpha,
-        rng_seed=args.seed if args.seed is not None else cfg.seeds.get("network", 0),
+        alpha=args.alpha,
+        rng_seed=args.seed,
     )
-    tc = network.TrainConfig(learning_rate=cfg.learning_rate, epochs=args.epochs)
+    tc = network.TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs)
     net, history = network.train_toy(spec, tc, dataset)
     network.save_checkpoint(args.out, net)
     losses = ", ".join(f"{loss:.6f}" for loss in history)
-    _log(f"train: {args.unit} depth={args.depth} widths={widths} "
+    _log(f"train: {args.unit} depth={args.depth} widths={args.widths} "
          f"epoch losses [{losses}], saved {args.out} in {perf_counter() - t0:.3f} s")
     return 0
 
@@ -95,17 +87,16 @@ def _read_prob_maps(paths):
 
 def _cmd_refine(args):
     t0 = perf_counter()
-    cfg = _load_config(args)
     maps = _read_prob_maps(args.probs)
     intensity, _ = volio.read_volume(args.intensity, expect_kind="intensity")
     result = walker.refine(
-        maps, intensity, cfg.theta, cfg.beta, tol=cfg.solver_tol,
+        maps, intensity, args.theta, args.beta, tol=args.tol,
         include_dirichlet=not args.no_dirichlet)
     volio.write_volume(args.out, result.labels, "label")
     if args.out_x:
         volio.write_volume(args.out_x, result.x, "prob")
     # the wall time precedes the counters, whose group closes the line
-    _log(f"refine: K={len(args.probs)} theta={cfg.theta} beta={cfg.beta} -> {args.out} "
+    _log(f"refine: K={len(args.probs)} theta={args.theta} beta={args.beta} -> {args.out} "
          f"in {perf_counter() - t0:.3f} s ({result.candidates} candidates, "
          f"{result.edges} edges, {result.dirichlet} Dirichlet terms, "
          f"{result.iterations} PCG iterations, residual {result.residual:.3e})")
@@ -124,6 +115,7 @@ def build_parser():
         prog="voxwalk",
         description="Randomized-connection segmentation with random-walker refinement")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = PipelineConfig()
 
     p = sub.add_parser("synth", help="generate a synthetic intensity/label pair")
     p.add_argument("--seed", type=int, default=0)
@@ -135,19 +127,18 @@ def build_parser():
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a toy network on volume/label pairs")
-    p.add_argument("--config")
     p.add_argument("--unit", choices=network.UNIT_TYPES, required=True)
     p.add_argument("--volume", action="append", required=True)
     p.add_argument("--label", action="append", required=True)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--widths", default="8,16,32")
+    p.add_argument("--widths", type=int_list, default="8,16,32")
     p.add_argument("--kernel", type=int, default=3)
     p.add_argument("--temporal-kernel", type=int, default=3,
                    help="depth extent of the kernel (conv3d units only)")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--alpha", type=float, default=defaults.alpha)
+    p.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
     p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -159,12 +150,11 @@ def build_parser():
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("refine", help="fuse probability maps into labels")
-    p.add_argument("--config")
     p.add_argument("--probs", nargs="+", required=True)
     p.add_argument("--intensity", required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--theta", type=float, default=defaults.theta)
+    p.add_argument("--beta", type=float, default=defaults.beta)
+    p.add_argument("--tol", type=float, default=defaults.solver_tol)
     p.add_argument("--no-dirichlet", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--out-x")

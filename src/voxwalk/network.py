@@ -83,6 +83,8 @@ class NetworkSpec:
             raise ValueError(f"widths must all be >= 1, got {self.widths}")
         if self.kernel < 1 or self.temporal_kernel < 1:
             raise ValueError("kernel extents must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -130,6 +130,8 @@ def synth(seed, dims, n_blobs=3, noise_sigma=0.05):
     dims = tuple(int(s) for s in dims)
     if len(dims) != 3 or any(s < 8 for s in dims):
         raise ValueError(f"dims must be three extents >= 8, got {dims}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_blobs < 0:
         raise ValueError(f"n_blobs must be >= 0, got {n_blobs}")
     if not 0 <= noise_sigma < np.inf:  # a negation, so that NaN is rejected

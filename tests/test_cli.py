@@ -109,8 +109,52 @@ def test_refine_rejects_non_finite_settings(tmp_path, scene, option):
     out = run_cli("refine", "--probs", *probs, "--intensity", intensity,
                   "--out", tmp_path / "o.raw", *option)
     assert_one_error_line(out)
-    assert ("solver_tol" if option[0] == "--tol" else "beta") in out.stderr
+    assert ("tol must be finite" if option[0] == "--tol" else "beta") in out.stderr
     assert not (tmp_path / "o.raw").exists()
+
+
+@pytest.mark.parametrize("command, option, words", [
+    ("refine", ["--theta", "2"], "theta"),
+    ("train", ["--learning-rate", "nan"], "learning_rate"),
+    ("train", ["--alpha", "2"], "alpha"),
+    ("train", ["--seed", "-1"], "rng_seed"),
+    ("synth", ["--seed", "-1"], "seed"),
+], ids=["refine-theta", "train-learning_rate", "train-alpha", "train-seed", "synth-seed"])
+def test_out_of_range_settings_exit_1(tmp_path, scene, command, option, words):
+    """Each setting is checked where the library uses it, before any output."""
+    intensity, probs = scene
+    out_path = tmp_path / "o.raw"
+    argv = {
+        "refine": ["--probs", *probs, "--intensity", intensity, "--out", out_path],
+        "train": ["--unit", "conv3d", "--volume", intensity, "--label", tmp_path / "l.raw",
+                  "--depth", 1, "--widths", "2,3", "--out", out_path],
+        "synth": ["--dims", 8, 8, 8, "--out-intensity", out_path,
+                  "--out-label", tmp_path / "o_l.raw"],
+    }[command]
+    out = run_cli(command, *argv, *option)
+    assert_one_error_line(out)
+    assert words in out.stderr
+    assert not list(tmp_path.glob("o*"))
+
+
+def test_train_rejects_malformed_widths_as_usage_error(tmp_path, scene):
+    intensity, _ = scene
+    out = run_cli("train", "--unit", "conv3d", "--volume", intensity,
+                  "--label", tmp_path / "l.raw", "--widths", "2,x", "--out", tmp_path / "n.ckpt")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "argument --widths" in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "n.ckpt").exists()
+
+
+def test_cli_defaults_are_the_pipeline_config():
+    cfg = PipelineConfig()
+    parser = cli.build_parser()
+    train = parser.parse_args(["train", "--unit", "conv3d", "--volume", "v", "--label", "l",
+                               "--out", "o"])
+    refine = parser.parse_args(["refine", "--probs", "p", "--intensity", "i", "--out", "o"])
+    assert (train.alpha, train.learning_rate, train.seed) == (cfg.alpha, cfg.learning_rate, 0)
+    assert (refine.theta, refine.beta, refine.tol) == (cfg.theta, cfg.beta, cfg.solver_tol)
 
 
 def test_refine_rejects_nan_probability_file(tmp_path, scene):
@@ -140,6 +184,8 @@ SPEC = {"unit_type": "conv3d", "depth": 1, "widths": [2, 3]}
     ({"format": "rcnet-checkpoint", "version": 1, "spec": dict(SPEC, widths=[2.9, 3])},
      "widths"),
     ({"format": "rcnet-checkpoint", "version": 1, "spec": dict(SPEC, depth=True)}, "depth"),
+    ({"format": "rcnet-checkpoint", "version": 1, "spec": dict(SPEC, rng_seed=-1)},
+     "rng_seed"),
 ])
 def test_infer_rejects_malformed_checkpoint(tmp_path, header, words):
     ckpt, volume = tmp_path / "net.ckpt", tmp_path / "v.raw"
@@ -332,20 +378,3 @@ def test_whole_pipeline_runs_and_infer_matches_the_library(tmp_path):
     out = run_cli("dice", tmp_path / "fused.raw", tmp_path / "test_l.raw")
     assert out.returncode == 0, out.stderr
     assert 0.0 <= float(out.stdout) <= 1.0
-
-
-@pytest.mark.parametrize("config, key", [
-    ({"theta": "0.5"}, "theta"),
-    ({"seeds": [1]}, "seeds"),
-    (["theta", 0.5], "JSON object"),
-    ({"seeds": {"network": True}}, "seeds"),
-    ({"seeds": {"netwrok": 5}}, "netwrok"),
-])
-def test_refine_rejects_malformed_config(tmp_path, scene, config, key):
-    intensity, probs = scene
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    out = run_cli("refine", "--config", path, "--probs", *probs, "--intensity", intensity,
-                  "--out", tmp_path / "o.raw")
-    assert_one_error_line(out)
-    assert str(path) in out.stderr and key in out.stderr

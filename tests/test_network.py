@@ -64,7 +64,8 @@ def test_spec_validation():
         NetworkSpec("conv3d", 1, (2, 0))
     # a checkpoint header may hold any JSON value: no bool, and no fraction
     for field, value in [("depth", True), ("depth", 1.0), ("kernel", 3.5),
-                         ("temporal_kernel", True), ("rng_seed", True), ("rng_seed", 0.5)]:
+                         ("temporal_kernel", True), ("rng_seed", True), ("rng_seed", 0.5),
+                         ("rng_seed", -1)]:
         with pytest.raises(ValueError, match=field):
             NetworkSpec(**{"unit_type": "conv3d", "depth": 1, "widths": (2, 2), field: value})
     for widths in [(2.9, 3), (2, 3.5), (True, 2)]:

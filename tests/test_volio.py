@@ -173,6 +173,8 @@ def test_synth_rejects_degenerate_dims():
         synth(0, (4, 8, 8))
     with pytest.raises(ValueError, match="n_blobs"):
         synth(0, (8, 8, 8), n_blobs=-1)
+    with pytest.raises(ValueError, match="seed"):
+        synth(-1, (8, 8, 8))
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])

@@ -64,9 +64,9 @@ def _cmd_infer(args):
     t0 = perf_counter()
     net = network.load_checkpoint(args.checkpoint)
     vol, _ = volio.read_volume(args.volume, expect_kind="intensity")
-    prob = network.infer(net, vol, mode=args.mode)
+    prob = network.infer(net, vol)
     volio.write_volume(args.out, prob, "prob")
-    _log(f"infer: {args.checkpoint} on {args.volume} -> {args.out} (mode={args.mode}) "
+    _log(f"infer: {args.checkpoint} on {args.volume} -> {args.out} "
          f"in {perf_counter() - t0:.3f} s")
     return 0
 
@@ -126,35 +126,43 @@ def build_parser():
     p.add_argument("--out-label", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="train a toy network on volume/label pairs")
+    p = sub.add_parser("train", help="train a toy network on volume/label pairs",
+                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--unit", choices=network.UNIT_TYPES, required=True)
     p.add_argument("--volume", action="append", required=True)
     p.add_argument("--label", action="append", required=True)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--widths", type=int_list, default="8,16,32")
-    p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--temporal-kernel", type=int, default=3,
-                   help="depth extent of the kernel (conv3d units only)")
-    p.add_argument("--alpha", type=float, default=defaults.alpha)
-    p.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--depth", type=int, default=2, help="pooling levels")
+    p.add_argument("--widths", type=int_list, default="8,16,32",
+                   help="maps per level, top first")
+    p.add_argument("--kernel", type=int, default=network.NetworkSpec.kernel,
+                   help="in-plane kernel extent")
+    p.add_argument("--temporal-kernel", type=int, default=network.NetworkSpec.temporal_kernel,
+                   help="depth extent (conv3d only)")
+    p.add_argument("--alpha", type=float, default=defaults.alpha,
+                   help="skip-connection keep probability")
+    p.add_argument("--learning-rate", type=float, default=defaults.learning_rate,
+                   help="SGD step size")
+    p.add_argument("--epochs", type=int, default=1, help="passes over the training pairs")
+    p.add_argument("--seed", type=int, default=network.NetworkSpec.rng_seed,
+                   help="weight and mask seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("infer", help="run a checkpoint on an intensity volume")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--volume", required=True)
-    p.add_argument("--mode", choices=("expectation", "all-true"), default="expectation")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_infer)
 
-    p = sub.add_parser("refine", help="fuse probability maps into labels")
+    p = sub.add_parser("refine", help="fuse probability maps into labels",
+                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--probs", nargs="+", required=True)
     p.add_argument("--intensity", required=True)
-    p.add_argument("--theta", type=float, default=defaults.theta)
-    p.add_argument("--beta", type=float, default=defaults.beta)
-    p.add_argument("--tol", type=float, default=defaults.solver_tol)
+    p.add_argument("--theta", type=float, default=defaults.theta,
+                   help="fraction kept as confident")
+    p.add_argument("--beta", type=float, default=defaults.beta, help="edge-weight sharpness")
+    p.add_argument("--tol", type=float, default=defaults.solver_tol,
+                   help="PCG relative residual tolerance")
     p.add_argument("--no-dirichlet", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--out-x")

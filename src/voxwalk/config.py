@@ -1,9 +1,10 @@
 """The pipeline's reference operating point, the one place its defaults are set.
 
 Skip keep-probability 0.5, prune fraction 0.999, Gaussian edge sharpness
-100, learning rate 1e-4 and PCG relative tolerance 1e-8.  The CLI's flags
-default to these fields; each value is checked where the library uses it
-(`NetworkSpec`, `TrainConfig`, `select`, `edge_weight`, `solve`).
+100, learning rate 1e-4 and PCG relative tolerance 1e-8.  The CLI's flags,
+`NetworkSpec.alpha` and the `tol` of `solve` and `refine` default to these
+fields; each value is checked where the library uses it (`NetworkSpec`,
+`TrainConfig`, `select`, `edge_weight`, `solve`).
 """
 
 from dataclasses import dataclass

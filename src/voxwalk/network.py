@@ -32,7 +32,7 @@ from .convops import (
     conv2d_forward,
     conv2d_backward,
 )
-from .lstm import gate_math_forward, gate_math_backward, sigmoid
+from .config import PipelineConfig
 from .volio import _atomic_write
 
 UNIT_TYPES = ("conv3d", "convlstm")
@@ -63,7 +63,7 @@ class NetworkSpec:
     widths: tuple
     kernel: int = 3
     temporal_kernel: int = 3
-    alpha: float = 0.5
+    alpha: float = PipelineConfig.alpha
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -157,8 +157,58 @@ class Conv3DLayer:
         return dx, {"weights": dw, "bias": db}
 
 
+def sigmoid(x):
+    """Logistic function 1 / (1 + e^-x), in the dtype of x.
+
+    Written as 0.5 + 0.5·tanh(x/2), which cannot overflow at any x, and
+    whose absolute error stays within one machine epsilon of the dtype.
+    """
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
+
+
+def gate_math_forward(z, c_prev):
+    """Apply the LSTM gate nonlinearities to stacked pre-activations.
+
+    z: [4n, ...] pre-activations in (input, forget, cell, output) gate order.
+    Returns (h, c, cache).
+    """
+    n = z.shape[0] // 4
+    zi, zf, zc, zo = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
+    i = sigmoid(zi)
+    f = sigmoid(zf)
+    g = np.tanh(zc)
+    o = sigmoid(zo)
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    cache = (i, f, g, o, tc, c_prev)
+    return h, c, cache
+
+
+def gate_math_backward(dh, dc, cache):
+    """Backward of :func:`gate_math_forward`.
+
+    dh, dc: gradients w.r.t. the new hidden/cell values (dc may be zeros).
+    Returns (dz [4n,...], dc_prev).
+    """
+    i, f, g, o, tc, c_prev = cache
+    do = dh * tc
+    dct = dc + dh * o * (1.0 - tc * tc)
+    df = dct * c_prev
+    di = dct * g
+    dg = dct * i
+    dc_prev = dct * f
+    dzi = di * i * (1.0 - i)
+    dzf = df * f * (1.0 - f)
+    dzc = dg * (1.0 - g * g)
+    dzo = do * o * (1.0 - o)
+    dz = np.concatenate([dzi, dzf, dzc, dzo])
+    return dz, dc_prev
+
+
 class ConvLSTMUnit:
-    """ConvLSTM scanned along the first volume axis.
+    """ConvLSTM (Hochreiter & Schmidhuber; the convolutional form of Shi et
+    al., arXiv:1506.04214) scanned along the first volume axis.
 
     Takes [m, L, H, W], returns the hidden-state sequence [n, L, H, W].
     Weights are gate-stacked in (i,f,c,o) order: input-to-state kernels
@@ -307,20 +357,17 @@ class RandomConnectionNet:
         return out, (uc, pc, sub, upc, dc)
 
     def _backward_level(self, i, dout, cache, gates, grads):
-        """Backward of :meth:`_forward_level`: appends the level's gradients to
-        grads in reverse declaration order and returns the input's gradient."""
+        """Backward of :meth:`_forward_level`: stores each of the level's
+        gradient dicts in grads under its layer and returns the input's gradient."""
         uc = cache[0]
         if i < self.spec.depth:
             _, pc, sub, upc, dc = cache
-            dmerge, g = self.decoders[i].backward(dout, dc)
-            grads.append(g)
-            dup, g = self.upconvs[i].backward(dmerge, upc)
-            grads.append(g)
+            dmerge, grads[self.decoders[i]] = self.decoders[i].backward(dout, dc)
+            dup, grads[self.upconvs[i]] = self.upconvs[i].backward(dmerge, upc)
             dpooled = self._backward_level(
                 i + 1, upsample_backward(dup, self.pool_window), sub, gates, grads)
             dout = pool3d_backward(dpooled, pc) + gates[i] * dmerge
-        dx, g = self.encoders[i].backward(dout, uc)
-        grads.append(g)
+        dx, grads[self.encoders[i]] = self.encoders[i].backward(dout, uc)
         return dx
 
     def _forward_full(self, volume, gates):
@@ -331,10 +378,11 @@ class RandomConnectionNet:
 
     def _backward_full(self, dz, caches, gates):
         lc, hc = caches
-        dy, g = self.head.backward(dz, hc)
-        grads = [g]
+        grads = {}
+        dy, grads[self.head] = self.head.backward(dz, hc)
         self._backward_level(0, dy, lc, gates, grads)
-        return np.concatenate([g[key] for layer, g in zip(self._layers, grads[::-1])
+        # in _layers order, the order in which _bind lays out params
+        return np.concatenate([grads[layer][key] for layer in self._layers
                                for key in layer.keys], axis=None)
 
     def forward(self, volume, mask=None):

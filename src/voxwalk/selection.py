@@ -27,23 +27,20 @@ _SLAB_VOXELS = 1 << 17
 
 
 def as_prob_stack(maps):
-    """Stack K probability maps into one [K,D,H,W] array.
+    """Take K >= 1 probability maps as one [K,D,H,W] array.
 
-    float32 maps stay float32 and any other input becomes float64, so the
-    stack is a view of the input whenever it already is one of the two.
-    The values are not checked here: each reader checks the probabilities
-    it reads with :func:`check_probs`.
+    A list of K [D,H,W] maps is stacked.  float32 maps stay float32 and any
+    other input becomes float64, so the stack is a view of the input
+    whenever it already is one of the two.  The values are not checked
+    here: each reader checks the probabilities it reads with
+    :func:`check_probs`.
     """
     arr = np.asarray(maps)
+    if arr.ndim != 4 or arr.shape[0] < 1:
+        raise ValueError(
+            f"expected a [K,D,H,W] stack of K >= 1 probability maps, got shape {arr.shape}")
     if arr.dtype != np.float32:
         arr = arr.astype(np.float64, copy=False)
-    if arr.ndim == 3:
-        arr = arr[None]
-    if arr.ndim != 4:
-        raise ValueError(
-            f"expected one or more [D,H,W] probability maps, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise ValueError("at least one probability map is required")
     return arr
 
 

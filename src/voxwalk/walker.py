@@ -21,6 +21,7 @@ solution.
 import numpy as np
 from dataclasses import dataclass, field
 
+from .config import PipelineConfig
 from .selection import as_prob_stack, check_probs, select
 
 
@@ -254,7 +255,7 @@ def _pcg(apply, b, diag, tol, max_iters):
 _MAX_ITERS_PER_CANDIDATE = 10   # past it, solve raises SolverError
 
 
-def solve(graph, tol=1e-8):
+def solve(graph, tol=PipelineConfig.solver_tol):
     """Minimize the walker energy over the candidate values.
 
     Solves the stationarity system to a relative residual <= tol, applying
@@ -275,7 +276,7 @@ def solve(graph, tol=1e-8):
     return WalkerSolution(x, labels, iterations, residual)
 
 
-def refine(maps, intensity, theta, beta, tol=1e-8, include_dirichlet=True):
+def refine(maps, intensity, theta, beta, tol=PipelineConfig.solver_tol, include_dirichlet=True):
     """Full node-selection + label-inference pass over K probability maps.
 
     Runs select, assemble and solve, also when no voxel is a candidate, so

@@ -1,6 +1,7 @@
 """The command-line contract: exit 0 with results on stdout and logs on
 stderr, exit 1 with one `voxwalk: error:` line, exit 2 on usage errors."""
 
+import inspect
 import json
 import os
 import re
@@ -153,8 +154,28 @@ def test_cli_defaults_are_the_pipeline_config():
     train = parser.parse_args(["train", "--unit", "conv3d", "--volume", "v", "--label", "l",
                                "--out", "o"])
     refine = parser.parse_args(["refine", "--probs", "p", "--intensity", "i", "--out", "o"])
-    assert (train.alpha, train.learning_rate, train.seed) == (cfg.alpha, cfg.learning_rate, 0)
+    assert (train.alpha, train.learning_rate) == (cfg.alpha, cfg.learning_rate)
     assert (refine.theta, refine.beta, refine.tol) == (cfg.theta, cfg.beta, cfg.solver_tol)
+    # the library's own defaults are the same fields
+    spec = network.NetworkSpec("conv3d", 1, (1, 1))
+    assert (train.kernel, train.temporal_kernel, train.seed) == (
+        spec.kernel, spec.temporal_kernel, spec.rng_seed)
+    assert spec.alpha == cfg.alpha
+    for solver in (walker.solve, walker.refine):
+        assert inspect.signature(solver).parameters["tol"].default == cfg.solver_tol
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("train", ("0.5", "0.0001")),
+    ("refine", ("0.999", "100.0", "1e-08")),
+], ids=["train", "refine"])
+def test_help_states_the_settings_defaults(capsys, command, defaults):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for value in defaults:
+        assert f"(default: {value})" in out
 
 
 def test_refine_rejects_nan_probability_file(tmp_path, scene):
@@ -195,6 +216,21 @@ def test_infer_rejects_malformed_checkpoint(tmp_path, header, words):
     assert_one_error_line(out)
     assert str(ckpt) in out.stderr and words in out.stderr
     assert not (tmp_path / "o.raw").exists()
+
+
+def test_infer_has_no_mode_option(tmp_path):
+    """infer runs expectation mode only, so --mode is a usage error."""
+    ckpt, volume = tmp_path / "net.ckpt", tmp_path / "v.raw"
+    network.save_checkpoint(ckpt, network.RandomConnectionNet(
+        network.NetworkSpec("conv3d", 1, (2, 3))))
+    write_volume(volume, np.zeros((4, 4, 4)), "intensity")
+    out = run_cli("infer", "--checkpoint", ckpt, "--volume", volume, "--mode", "all-true",
+                  "--out", tmp_path / "p.raw")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert [line for line in out.stderr.splitlines() if "error:" in line] == [
+        "voxwalk: error: unrecognized arguments: --mode all-true"]
+    assert not (tmp_path / "p.raw").exists()
 
 
 @pytest.mark.parametrize("header", [b"\xff\xfe{}", b"not json"])

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from voxwalk.lstm import gate_math_forward, sigmoid
-from voxwalk.network import ConvLSTMUnit
+from voxwalk.network import ConvLSTMUnit, gate_math_forward, sigmoid
 
 from oracles import convlstm_oracle, lstm_oracle, numeric_grad
 
@@ -67,15 +66,17 @@ def test_sigmoid_stays_within_one_eps_of_expit(dtype):
 
 def test_import_leaves_scipy_special_unloaded():
     """The package needs no scipy at all, scipy.special included; importing
-    it costs import time."""
+    it costs import time.  Each module is imported by name, since the
+    package root imports none of them."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, voxwalk, voxwalk.cli; "
+    code = ("import sys, voxwalk.cli, voxwalk.config, voxwalk.convops, voxwalk.metrics, "
+            "voxwalk.network, voxwalk.selection, voxwalk.volio, voxwalk.walker; "
             "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, f"import voxwalk loaded {out.stderr.strip()}"
+    assert out.returncode == 0, f"importing voxwalk loaded {out.stderr.strip()}"
 
 
 def test_lstm_zero_parameters_give_zero_state():

@@ -6,7 +6,6 @@ import pytest
 
 from voxwalk import network
 from voxwalk.convops import pool3d_forward, upsample
-from voxwalk.lstm import sigmoid
 from voxwalk.network import (
     NetworkSpec,
     RandomConnectionNet,
@@ -16,6 +15,7 @@ from voxwalk.network import (
     load_checkpoint,
     sample_mask,
     save_checkpoint,
+    sigmoid,
     train_toy,
 )
 

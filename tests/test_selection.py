@@ -56,6 +56,18 @@ def test_prob_stack_keeps_float32_and_promotes_other_input():
         assert as_prob_stack(other).dtype == np.float64
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 4), (1, 1, 2, 3, 4), (0, 2, 3, 4)],
+                         ids=["one-map", "2-D", "5-D", "K=0"])
+def test_prob_stack_takes_only_k_maps(shape):
+    """Maps come as a [K,D,H,W] stack with K >= 1; one map is a [1,D,H,W] stack."""
+    maps = np.full(shape, 0.25)
+    intensity = np.zeros((2, 3, 4))
+    for call in (lambda: as_prob_stack(maps), lambda: select(maps, 0.5),
+                 lambda: walker.refine(maps, intensity, 0.5, beta=100.0)):
+        with pytest.raises(ValueError, match=r"\[K,D,H,W\]"):
+            call()
+
+
 def test_float32_node_energies_match_loop_oracle():
     # float32 eps is 1.2e-7; a few dozen rounded terms stay well inside 1e-5
     rng = np.random.default_rng(11)

@@ -6,14 +6,20 @@ forward/backward pair so the network code can run reverse-mode training
 without an autograd framework.
 
 Every convolution runs through one im2col + GEMM kernel (Chellapilla et
-al., 2006): the input windows of a slab of output-depth planes are copied,
-kernel tap by kernel tap, into a [maps·d·k·k, voxels] column matrix, and one
-BLAS matmul per slab gives the output (W @ cols), the weight gradient
-(G @ colsᵀ) or the column gradient (Wᵀ @ G, added back into the input one
-tap at a time).  The slab is as many planes as fit in `_SLAB_BYTES`, so the
-column buffer stays bounded whatever the volume size.  conv2d, the
-ConvLSTM's per-step state convolution, is the same kernel at depth 1 with
-'same' padding and no bias.
+al., 2006) on the padded grid.  In the flattened padded input, kernel tap
+(i, j, l) of every output sits at the fixed offset i·Hp·Wp + j·Wp + l from
+that output's position, so the tap's block of the [maps·d·k·k, positions]
+column matrix is one contiguous slice of the input per map.  One BLAS
+matmul per slab of output-depth planes gives the output (W @ cols), the
+weight gradient ((cols @ Gᵀ)ᵀ) or the column gradient (Wᵀ @ G, added back
+into the input one contiguous tap slice at a time).  Positions whose window
+crosses the pad margin hold no output: the forward drops them, and the
+backward gives them a zero gradient.  The slab is as many planes as fit
+in `_SLAB_BYTES`, with its output planes on the padded grid, so the buffers
+stay bounded whatever the volume size.  A strided conv is the unit-stride
+conv subsampled: its gradient is placed onto the unit-stride grid.  conv2d,
+the ConvLSTM's per-step state convolution, is the same kernel at depth 1
+with 'same' padding and no bias.
 
 Operations compute in numpy's promoted dtype of their arguments, and the
 column buffer takes that dtype too.  The network holds float32 parameters
@@ -24,9 +30,10 @@ checks promote the parameters and run the same code in float64.
 
 import numpy as np
 
-# upper bound on the bytes of one im2col column buffer; a slab holds as
-# many output-depth planes as fit, and at least one
-_SLAB_BYTES = 8 << 20
+# upper bound on the bytes of one slab's buffers: its im2col columns plus
+# its output planes on the padded grid; a slab holds as many output-depth
+# planes as fit, and at least one
+_SLAB_BYTES = 2 << 20
 
 
 def _as_triple(v):
@@ -55,35 +62,66 @@ def _pad_spatial(x, kernel_extents, padding, spatial_axes):
         pads[ax] = _same_pad(k)
     if not any(lo or hi for lo, hi in pads):
         return x, pads
-    return np.pad(x, pads), pads
+    xp = np.zeros(tuple(s + lo + hi for s, (lo, hi) in zip(x.shape, pads)), dtype=x.dtype)
+    xp[tuple(slice(lo, lo + s) for s, (lo, _) in zip(x.shape, pads))] = x
+    return xp, pads
 
 
-def _slabs(xp, kext, stride, out_shape, dtype):
-    """im2col, one slab of output-depth planes at a time.
+def _slabs(xp, kext, stride, n, dtype):
+    """Padded-grid im2col, one slab of output-depth planes at a time.
 
-    Yields (vox, cols, taps) per slab: `vox` slices the slab's voxels out of
-    the flattened output, `cols` [m·d·kh·kw, voxels] holds their input
-    windows, and `taps` pairs each kernel tap's block of `cols` with the
-    window of `xp` it was copied from.  One buffer of at most
-    `_SLAB_BYTES` (or one plane) is refilled for every slab.
+    Yields (out, grid, gslab, cols, taps) per slab.  `cols` [m·d·kh·kw, q]
+    holds the windows of the slab's q positions on the padded grid, and
+    `taps` pairs each kernel tap's block of `cols` with the slice of the
+    flattened `xp` it was copied from.  `gslab` [n, q] is a zeroed buffer
+    for the slab's outputs on the padded grid, and `grid` views the true
+    (strided) outputs in it, which are planes `out` of the output.  One
+    pair of buffers, of at most `_SLAB_BYTES` (or one stride period of
+    planes), serves every slab.
     """
-    m = xp.shape[0]
-    do, ho, wo = out_shape
+    m, dp, hp, wp = xp.shape
+    du, hu, wu = dp - kext[0] + 1, hp - kext[1] + 1, wp - kext[2] + 1
     sd, sh, sw = stride
-    rows, plane = m * int(np.prod(kext)), ho * wo
-    per = max(1, min(do, _SLAB_BYTES // max(1, rows * plane * np.dtype(dtype).itemsize)))
-    buf = np.empty(rows * plane * per, dtype=dtype)
-    for z0 in range(0, do, per):
-        z1 = min(do, z0 + per)
-        cols = buf[:rows * plane * (z1 - z0)].reshape((m,) + kext + (z1 - z0, ho, wo))
-        taps = [(cols[:, i, j, l], (slice(None),
-                                    slice(sd * z0 + i, sd * (z1 - 1) + i + 1, sd),
-                                    slice(j, j + sh * (ho - 1) + 1, sh),
-                                    slice(l, l + sw * (wo - 1) + 1, sw)))
-                for i, j, l in np.ndindex(*kext)]
+    plane = hp * wp
+    offs = [i * plane + j * wp + l for i, j, l in np.ndindex(*kext)]
+    rows = m * len(offs)
+    fit = _SLAB_BYTES // max(1, (rows + n) * plane * np.dtype(dtype).itemsize)
+    # whole stride periods, so every slab writes its gradient to the same
+    # grid positions and all other positions stay zero
+    per = max(sd, min(du, fit - fit % sd))
+    xf = xp.reshape(m, -1)
+    cbuf = np.empty(rows * per * plane, dtype=dtype)
+    gbuf = np.zeros((n, per * plane), dtype=dtype)
+    for z0 in range(0, du, per):
+        z1 = min(du, z0 + per)
+        # q1 ends at the slab's last true output, so no tap reads past xf's end
+        q0, q1 = z0 * plane, (z1 - 1) * plane + (hu - 1) * wp + wu
+        cols = cbuf[:rows * (q1 - q0)].reshape(m, len(offs), q1 - q0)
+        taps = [(cols[:, t], slice(q0 + off, q1 + off)) for t, off in enumerate(offs)]
         for block, win in taps:
-            block[...] = xp[win]
-        yield slice(z0 * plane, z1 * plane), cols.reshape(rows, -1), taps
+            block[...] = xf[:, win]
+        grid = gbuf[:, :(z1 - z0) * plane].reshape(n, z1 - z0, hp, wp)
+        yield (slice(z0 // sd, -(-z1 // sd)), grid[:, ::sd, :hu:sh, :wu:sw],
+               gbuf[:, :q1 - q0], cols.reshape(rows, -1), taps)
+
+
+def _conv_backward(grad, xp, weights, stride, pads):
+    """(dx, dweights) of a convolution; the bias gradient is the caller's."""
+    n = weights.shape[0]
+    dtype = np.result_type(grad, xp, weights)
+    w2 = weights.reshape(n, -1)
+    dxp = np.zeros(xp.shape, dtype=dtype)
+    dxf = dxp.reshape(xp.shape[0], -1)
+    dwt = np.zeros(w2.shape[::-1], dtype=dtype)
+    stride = _as_triple(stride)
+    for out, grid, gslab, cols, taps in _slabs(xp, weights.shape[2:], stride, n, dtype):
+        grid[...] = grad[:, out]
+        dwt += cols @ gslab.T
+        np.matmul(w2.T, gslab, out=cols)  # the tap blocks now hold column gradients
+        for block, win in taps:
+            dxf[:, win] += block
+    dx = dxp[tuple(slice(lo, dxp.shape[ax] - hi) for ax, (lo, hi) in enumerate(pads))]
+    return dx, dwt.T.reshape(weights.shape)
 
 
 def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
@@ -123,11 +161,12 @@ def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
     dtype = np.result_type(xp, weights)
     w2 = weights.reshape(n, -1)
     y = np.empty((n,) + out_shape, dtype=dtype)
-    y2 = y.reshape(n, -1)
-    for vox, cols, _ in _slabs(xp, kext, stride, out_shape, dtype):
-        np.matmul(w2, cols, out=y2[:, vox])
-    if bias is not None:
-        y += bias[:, None, None, None]
+    for out, grid, gslab, cols, _ in _slabs(xp, kext, stride, n, dtype):
+        np.matmul(w2, cols, out=gslab)
+        if bias is None:
+            y[:, out] = grid
+        else:
+            np.add(grid, bias[:, None, None, None], out=y[:, out])
     return y, xp, pads
 
 
@@ -135,22 +174,11 @@ def conv3d_backward(grad, xp, weights, stride, pads):
     """Gradients of a conv3d pre-activation w.r.t. input, weights, bias.
 
     grad: [n,D',H',W'] gradient at the output; xp is the padded input kept
-    from the forward pass.  Works for any positive stride.
+    from the forward pass.  A strided gradient is placed onto the unit-stride
+    output grid, whose other outputs get a zero gradient.
     """
-    n = weights.shape[0]
-    dtype = np.result_type(grad, xp, weights)
-    w2 = weights.reshape(n, -1)
-    g2 = grad.reshape(n, -1)
-    dw = np.zeros(w2.shape, dtype=dtype)
-    dxp = np.zeros(xp.shape, dtype=dtype)
-    for vox, cols, taps in _slabs(xp, weights.shape[2:], _as_triple(stride), grad.shape[1:], dtype):
-        g = g2[:, vox]
-        dw += g @ cols.T
-        np.matmul(w2.T, g, out=cols)  # the tap blocks now hold column gradients
-        for block, win in taps:
-            dxp[win] += block
-    dx = dxp[tuple(slice(lo, dxp.shape[ax] - hi) for ax, (lo, hi) in enumerate(pads))]
-    return dx, dw.reshape(weights.shape), grad.sum(axis=(1, 2, 3))
+    dx, dw = _conv_backward(grad, xp, weights, stride, pads)
+    return dx, dw, grad.sum(axis=(1, 2, 3))
 
 
 def conv2d_forward(x, weights):
@@ -168,8 +196,8 @@ def conv2d_forward(x, weights):
 def conv2d_backward(grad, xp, weights, pads):
     """Gradients (dx, dweights) of :func:`conv2d_forward`."""
     pads = [pads[0], (0, 0)] + list(pads[1:])
-    dx, dweights, _ = conv3d_backward(grad[:, None], xp[:, None], weights[:, :, None],
-                                      (1, 1, 1), pads)
+    dx, dweights = _conv_backward(grad[:, None], xp[:, None], weights[:, :, None],
+                                  (1, 1, 1), pads)
     return dx[:, 0], dweights[:, :, 0]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,29 @@ def test_conv_slab_size_does_not_change_results(monkeypatch):
                         h, dx, *grads.values()))
     for a, b in zip(*results):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_conv3d_peak_memory_is_bounded():
+    """Beyond its output and padded input, a conv holds one slab's buffers:
+    a full-volume output or gradient on the padded grid breaks the bounds."""
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(1, 32, 64, 64)).astype(np.float32)
+    w = rng.normal(size=(32, 1, 1, 3, 3)).astype(np.float32)
+    b = np.zeros(32, dtype=np.float32)
+    slack = convops._SLAB_BYTES + (1 << 20)
+    tracemalloc.start()
+    try:
+        y, xp, pads = conv3d_forward(x, w, b, padding="same")
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        g = np.ones_like(y)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        conv3d_backward(g, xp, w, (1, 1, 1), pads)
+        backward_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert forward_peak <= y.nbytes + xp.nbytes + slack
+    assert backward_peak <= 2 * xp.nbytes + slack
 
 
 def test_conv2d_matches_conv3d_on_singleton_axis():

@@ -67,15 +67,17 @@ def _pad_spatial(x, kernel_extents, padding, spatial_axes):
     return xp, pads
 
 
-def _slabs(xp, kext, stride, n, dtype):
+def _slabs(xp, kext, stride, n, dtype, zeroed):
     """Padded-grid im2col, one slab of output-depth planes at a time.
 
     Yields (out, grid, gslab, cols, taps) per slab.  `cols` [m·d·kh·kw, q]
     holds the windows of the slab's q positions on the padded grid, and
     `taps` pairs each kernel tap's block of `cols` with the slice of the
-    flattened `xp` it was copied from.  `gslab` [n, q] is a zeroed buffer
-    for the slab's outputs on the padded grid, and `grid` views the true
-    (strided) outputs in it, which are planes `out` of the output.  One
+    flattened `xp` it was copied from.  `gslab` [n, q] is a buffer for the
+    slab's outputs on the padded grid, and `grid` views the true (strided)
+    outputs in it, which are planes `out` of the output.  The backward
+    needs `zeroed`, since its GEMM reads the positions `grid` skips; the
+    forward's GEMM writes every position that `grid` reads.  One
     pair of buffers, of at most `_SLAB_BYTES` (or one stride period of
     planes), serves every slab.
     """
@@ -91,7 +93,7 @@ def _slabs(xp, kext, stride, n, dtype):
     per = max(sd, min(du, fit - fit % sd))
     xf = xp.reshape(m, -1)
     cbuf = np.empty(rows * per * plane, dtype=dtype)
-    gbuf = np.zeros((n, per * plane), dtype=dtype)
+    gbuf = (np.zeros if zeroed else np.empty)((n, per * plane), dtype=dtype)
     for z0 in range(0, du, per):
         z1 = min(du, z0 + per)
         # q1 ends at the slab's last true output, so no tap reads past xf's end
@@ -114,7 +116,7 @@ def _conv_backward(grad, xp, weights, stride, pads):
     dxf = dxp.reshape(xp.shape[0], -1)
     dwt = np.zeros(w2.shape[::-1], dtype=dtype)
     stride = _as_triple(stride)
-    for out, grid, gslab, cols, taps in _slabs(xp, weights.shape[2:], stride, n, dtype):
+    for out, grid, gslab, cols, taps in _slabs(xp, weights.shape[2:], stride, n, dtype, True):
         grid[...] = grad[:, out]
         dwt += cols @ gslab.T
         np.matmul(w2.T, gslab, out=cols)  # the tap blocks now hold column gradients
@@ -161,7 +163,7 @@ def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
     dtype = np.result_type(xp, weights)
     w2 = weights.reshape(n, -1)
     y = np.empty((n,) + out_shape, dtype=dtype)
-    for out, grid, gslab, cols, _ in _slabs(xp, kext, stride, n, dtype):
+    for out, grid, gslab, cols, _ in _slabs(xp, kext, stride, n, dtype, False):
         np.matmul(w2, cols, out=gslab)
         if bias is None:
             y[:, out] = grid
@@ -236,7 +238,9 @@ def pool3d_forward(x, window):
     flat, out, perm = _pool_view(x, window)
     arg = flat.argmax(axis=-1)
     y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return y, (x.shape, window, out, perm, arg)
+    # the cache keeps each block's argmax in the smallest unsigned dtype
+    # that holds it: uint8 for the network's 4- and 8-voxel windows
+    return y, (x.shape, window, out, perm, arg.astype(np.min_scalar_type(flat.shape[-1] - 1)))
 
 
 def pool3d_backward(grad, cache):

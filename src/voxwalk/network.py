@@ -10,6 +10,12 @@ only as long as its level.  gate_i is a Bernoulli(alpha) draw per training
 iteration (so 2^depth computation graphs are sampled) or the constant alpha
 in expectation mode at inference.
 
+The forward returns caches that the backward uses up: each level pops its
+decoder and projection caches as it uses them, so they are freed before
+the level below runs, and a ConvLSTM unit's backward overwrites its cached
+gates with their gradients.  A second backward on the same caches raises
+ValueError.
+
 The ConvLSTM variant treats the first volume axis as time and pools only
 the two spatial axes, so the recurrence length is preserved; the 3D
 convolution variant pools all three axes.
@@ -166,44 +172,43 @@ def sigmoid(x):
     return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
-def gate_math_forward(z, c_prev):
-    """Apply the LSTM gate nonlinearities to stacked pre-activations.
+def gate_math_forward(z, c_prev, c, h):
+    """Apply the LSTM gate nonlinearities in place.
 
-    z: [4n, ...] pre-activations in (input, forget, cell, output) gate order.
-    Returns (h, c, cache).
+    z: [4n, ...] pre-activations in (input, forget, cell, output) gate
+    order, overwritten by the gate activations (i, f, g, o).  Writes the new
+    cell f·c_prev + i·g into c and the hidden state o·tanh(c) into h.
     """
     n = z.shape[0] // 4
-    zi, zf, zc, zo = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-    i = sigmoid(zi)
-    f = sigmoid(zf)
-    g = np.tanh(zc)
-    o = sigmoid(zo)
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = (i, f, g, o, tc, c_prev)
-    return h, c, cache
+    z[:2 * n] = sigmoid(z[:2 * n])
+    np.tanh(z[2 * n:3 * n], out=z[2 * n:3 * n])
+    z[3 * n:] = sigmoid(z[3 * n:])
+    i, f, g, o = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
+    np.add(f * c_prev, i * g, out=c)
+    np.multiply(o, np.tanh(c), out=h)
 
 
-def gate_math_backward(dh, dc, cache):
-    """Backward of :func:`gate_math_forward`.
+def gate_math_backward(dh, dc, z, tc, c_prev):
+    """Backward of :func:`gate_math_forward`, in place.
 
     dh, dc: gradients w.r.t. the new hidden/cell values (dc may be zeros).
-    Returns (dz [4n,...], dc_prev).
+    z holds the step's gate activations and is overwritten by their
+    pre-activation gradients dz; tc is tanh of the new cell.  Returns dc_prev.
     """
-    i, f, g, o, tc, c_prev = cache
+    n = z.shape[0] // 4
+    i, f, g, o = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
     do = dh * tc
     dct = dc + dh * o * (1.0 - tc * tc)
     df = dct * c_prev
     di = dct * g
     dg = dct * i
     dc_prev = dct * f
-    dzi = di * i * (1.0 - i)
-    dzf = df * f * (1.0 - f)
-    dzc = dg * (1.0 - g * g)
-    dzo = do * o * (1.0 - o)
-    dz = np.concatenate([dzi, dzf, dzc, dzo])
-    return dz, dc_prev
+    # each gate is read for the last time on the line that overwrites it
+    np.multiply(di * i, 1.0 - i, out=i)
+    np.multiply(df * f, 1.0 - f, out=f)
+    np.multiply(dg, 1.0 - g * g, out=g)
+    np.multiply(do * o, 1.0 - o, out=o)
+    return dc_prev
 
 
 class ConvLSTMUnit:
@@ -215,6 +220,14 @@ class ConvLSTMUnit:
     wx [4n,m,k,k], state-to-state kernels wh [4n,n,k,k], biases b [4n].
     The input-to-state convolutions for all steps run as one batched
     convolution; the state-to-state convolution runs per step.
+
+    The forward writes each step's gate activations over that step's input
+    terms, and caches only them, the cell sequence c_0..c_L (c_0 = 0) and
+    the padded input.  The backward recomputes tanh(c_t) and the previous
+    hidden state o_{t-1}·tanh(c_{t-1}) from these, one step at a time, and
+    writes each step's gate gradients over its gates, so the cache holds
+    the input terms' gradient once the scan ends.  The backward therefore
+    uses up its cache: a second backward on it raises ValueError.
     """
 
     keys = ("wx", "wh", "b")
@@ -231,34 +244,41 @@ class ConvLSTMUnit:
             raise ValueError(f"ConvLSTM unit expects [m,L,H,W], got shape {x.shape}")
         n = self.b.shape[0] // 4
         length = x.shape[1]
-        xterm, xp, xpads = conv3d_forward(x, self.wx[:, :, None], self.b, padding="same")
-        h = np.zeros((n,) + x.shape[2:], dtype=x.dtype)
-        c = np.zeros_like(h)
+        z, xp, xpads = conv3d_forward(x, self.wx[:, :, None], self.b, padding="same")
+        cells = np.zeros((n, length + 1) + x.shape[2:], dtype=x.dtype)
         outs = np.empty((n, length) + x.shape[2:], dtype=x.dtype)
-        steps = []
+        h = cells[:, 0]  # the zero initial state
         for t in range(length):
-            hterm, hp, hpads = conv2d_forward(h, self.wh)
-            h, c, gcache = gate_math_forward(xterm[:, t] + hterm, c)
-            outs[:, t] = h
-            steps.append((hp, hpads, gcache))
-        return outs, (xp, xpads, steps)
+            hterm, _, hpads = conv2d_forward(h, self.wh)
+            z[:, t] += hterm
+            h = outs[:, t]
+            gate_math_forward(z[:, t], cells[:, t], cells[:, t + 1], h)
+        return outs, [xp, xpads, z, cells, hpads]
 
     def backward(self, dy, cache):
-        xp, xpads, steps = cache
-        length = dy.shape[1]
-        dxterm = np.empty((self.wx.shape[0], length) + dy.shape[2:], dtype=dy.dtype)
+        if not cache:
+            raise ValueError("ConvLSTM cache is used up: backward runs once per forward")
+        xp, xpads, z, cells, hpads = cache
+        cache.clear()
+        n, length = dy.shape[:2]
         dwh = np.zeros_like(self.wh)
-        dh_next = np.zeros(dy.shape[:1] + dy.shape[2:], dtype=dy.dtype)
+        dh_next = np.zeros((n,) + dy.shape[2:], dtype=dy.dtype)
         dc_next = np.zeros_like(dh_next)
+        # one padded buffer for the previous hidden state, the state-to-state
+        # convolution's input
+        hp = np.pad(np.zeros_like(dh_next), hpads)
+        h_prev = hp[tuple(slice(lo, hp.shape[ax] - hi) for ax, (lo, hi) in enumerate(hpads))]
+        tc = np.tanh(cells[:, length])
         for t in reversed(range(length)):
-            hp, hpads, gcache = steps[t]
-            dz, dc_prev = gate_math_backward(dy[:, t] + dh_next, dc_next, gcache)
-            dxterm[:, t] = dz
-            dh_prev, dwh_t = conv2d_backward(dz, hp, self.wh, hpads)
+            dc_next = gate_math_backward(dy[:, t] + dh_next, dc_next, z[:, t], tc, cells[:, t])
+            if t:
+                tc = np.tanh(cells[:, t])
+                np.multiply(z[3 * n:, t - 1], tc, out=h_prev)
+            else:
+                h_prev[...] = 0
+            dh_next, dwh_t = conv2d_backward(z[:, t], hp, self.wh, hpads)
             dwh += dwh_t
-            dh_next = dh_prev
-            dc_next = dc_prev
-        dx, dwx, db = conv3d_backward(dxterm, xp, self.wx[:, :, None], (1, 1, 1), xpads)
+        dx, dwx, db = conv3d_backward(z, xp, self.wx[:, :, None], (1, 1, 1), xpads)
         return dx, {"wx": dwx[:, :, 0], "wh": dwh, "b": db}
 
 
@@ -345,42 +365,45 @@ class RandomConnectionNet:
         return mask.astype(self.dtype)
 
     def _forward_level(self, i, x, gates):
-        """Level i on input x.  Returns (out, cache), the cache being (uc,)
-        at the bridge and (uc, pc, sub, upc, dc) above it, sub being level i+1's."""
+        """Level i on input x.  Returns (out, cache), the cache being the
+        list [uc] at the bridge and [uc, pc, sub, upc, dc] above it, sub
+        being level i+1's."""
         skip, uc = self.encoders[i].forward(x)
         if i == self.spec.depth:
-            return skip, (uc,)
+            return skip, [uc]
         pooled, pc = pool3d_forward(skip, self.pool_window)
         below, sub = self._forward_level(i + 1, pooled, gates)
         up, upc = self.upconvs[i].forward(upsample(below, self.pool_window))
         out, dc = self.decoders[i].forward(up + gates[i] * skip)
-        return out, (uc, pc, sub, upc, dc)
+        return out, [uc, pc, sub, upc, dc]
 
     def _backward_level(self, i, dout, cache, gates, grads):
         """Backward of :meth:`_forward_level`: stores each of the level's
-        gradient dicts in grads under its layer and returns the input's gradient."""
-        uc = cache[0]
+        gradient dicts in grads under its layer and returns the input's
+        gradient.  Pops each entry off the cache as it is used, so the
+        decoder and projection caches are freed before the level below runs."""
         if i < self.spec.depth:
-            _, pc, sub, upc, dc = cache
-            dmerge, grads[self.decoders[i]] = self.decoders[i].backward(dout, dc)
-            dup, grads[self.upconvs[i]] = self.upconvs[i].backward(dmerge, upc)
+            dmerge, grads[self.decoders[i]] = self.decoders[i].backward(dout, cache.pop())
+            dup, grads[self.upconvs[i]] = self.upconvs[i].backward(dmerge, cache.pop())
             dpooled = self._backward_level(
-                i + 1, upsample_backward(dup, self.pool_window), sub, gates, grads)
-            dout = pool3d_backward(dpooled, pc) + gates[i] * dmerge
-        dx, grads[self.encoders[i]] = self.encoders[i].backward(dout, uc)
+                i + 1, upsample_backward(dup, self.pool_window), cache.pop(), gates, grads)
+            dout = pool3d_backward(dpooled, cache.pop()) + gates[i] * dmerge
+        dx, grads[self.encoders[i]] = self.encoders[i].backward(dout, cache.pop())
         return dx
 
     def _forward_full(self, volume, gates):
         x = self._check_volume(volume)[None]
         y, lc = self._forward_level(0, x, gates)
         z, hc = self.head.forward(y)
-        return z, (lc, hc)
+        return z, [lc, hc]
 
     def _backward_full(self, dz, caches, gates):
-        lc, hc = caches
+        """Backward of :meth:`_forward_full`; uses up its caches."""
+        if not caches:
+            raise ValueError("network cache is used up: backward runs once per forward")
         grads = {}
-        dy, grads[self.head] = self.head.backward(dz, hc)
-        self._backward_level(0, dy, lc, gates, grads)
+        dy, grads[self.head] = self.head.backward(dz, caches.pop())
+        self._backward_level(0, dy, caches.pop(), gates, grads)
         # in _layers order, the order in which _bind lays out params
         return np.concatenate([grads[layer][key] for layer in self._layers
                                for key in layer.keys], axis=None)

@@ -171,6 +171,29 @@ def test_conv3d_strided_multi_slab_matches_loop_oracle(small_slabs, padding):
 
 
 @pytest.mark.parametrize("padding", ["valid", "same"])
+def test_conv3d_forward_reads_only_what_its_gemm_writes(small_slabs, monkeypatch, padding):
+    """The forward's slab buffer is not zeroed: NaN in every position its
+    output view reads, put there before the GEMM, changes no output."""
+    slabs = convops._slabs
+
+    def poisoned(xp, kext, stride, n, dtype, zeroed):
+        for item in slabs(xp, kext, stride, n, dtype, zeroed):
+            if not zeroed:
+                item[1][...] = np.nan  # the slab's true outputs on the padded grid
+            yield item
+
+    monkeypatch.setattr(convops, "_slabs", poisoned)
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(2, 7, 6, 8))
+    w = rng.normal(size=(3, 2, 2, 3, 2))
+    b = rng.normal(size=3)
+    for stride in ((1, 1, 1), (2, 1, 3)):
+        full = conv3d_oracle(x, w, b, padding=padding)
+        got = conv3d(x, w, b, stride=stride, padding=padding)
+        assert np.allclose(got, full[:, ::stride[0], ::stride[1], ::stride[2]], rtol=1e-12)
+
+
+@pytest.mark.parametrize("padding", ["valid", "same"])
 def test_conv3d_strided_backward_matches_numeric(small_slabs, padding):
     rng = np.random.default_rng(29)
     x = rng.normal(size=(2, 7, 5, 7))
@@ -291,6 +314,20 @@ def test_pool_matches_loop_oracle():
         x = rng.normal(size=dims)
         got = pool3d(x, window)
         assert np.allclose(got, pool_oracle(x, window), rtol=1e-12)
+
+
+@pytest.mark.parametrize("window, dtype", [((1, 2, 2, 2), np.uint8),
+                                           ((1, 1, 2, 2), np.uint8),
+                                           ((1, 1, 16, 17), np.uint16)])
+def test_pool_caches_the_smallest_unsigned_index(window, dtype):
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=(2, 2, 32, 34))
+    # each block's maximum at its last voxel, index 271 in a 16x17 window
+    x[:, window[1] - 1::window[1], window[2] - 1::window[2], window[3] - 1::window[3]] = 10.0
+    y, cache = pool3d_forward(x, window)
+    assert cache[4].dtype == dtype
+    dx = pool3d_backward(np.ones_like(y), cache)
+    assert np.array_equal(dx, (x == 10.0).astype(float))
 
 
 def test_pool_backward_matches_numeric():

@@ -96,7 +96,8 @@ def test_lstm_saturated_forget_gate_keeps_cell():
     z = np.zeros(12)
     z[3:6] = 40.0  # forget gate ~ 1; input, cell and output pre-activations 0
     c_prev = rng.normal(size=3)
-    _, c, _ = gate_math_forward(z, c_prev)
+    c, h = np.empty(3), np.empty(3)
+    gate_math_forward(z, c_prev, c, h)
     assert np.allclose(c, c_prev, atol=1e-12)
 
 
@@ -104,9 +105,12 @@ def test_lstm_gates_stay_in_open_unit_interval():
     rng = np.random.default_rng(2)
     for _ in range(20):
         z = rng.normal(scale=6.0, size=(16, 3, 3))
-        _, _, (i, f, _, o, _, _) = gate_math_forward(z, rng.normal(size=(4, 3, 3)))
+        # the activations overwrite the pre-activations in (i, f, g, o) order
+        gate_math_forward(z, rng.normal(size=(4, 3, 3)), np.empty((4, 3, 3)), np.empty((4, 3, 3)))
+        i, f, g, o = z.reshape(4, 4, 3, 3)
         for gate in (i, f, o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
+        assert np.all(np.abs(g) <= 1.0)
 
 
 def test_convlstm_cell_growth_bounded():
@@ -114,7 +118,8 @@ def test_convlstm_cell_growth_bounded():
     for _ in range(10):
         z = rng.normal(scale=20.0, size=(8, 3, 3))
         c_prev = rng.normal(size=(2, 3, 3))
-        _, c, _ = gate_math_forward(z, c_prev)
+        c = np.empty_like(c_prev)
+        gate_math_forward(z, c_prev, c, np.empty_like(c_prev))
         assert np.all(np.abs(c) <= np.abs(c_prev) + 1.0 + 1e-12)
 
 
@@ -192,3 +197,16 @@ def test_lstm_backward_matches_numeric():
 
 def test_convlstm_backward_matches_numeric():
     check_unit_backward(np.random.default_rng(8), 2, 2, 3, (3, 4), atol=1e-7)
+
+
+def test_backward_uses_up_the_cache():
+    # the backward writes the gate gradients over the cached gates, so a
+    # second backward on the same cache would read gradients as gates
+    rng = np.random.default_rng(9)
+    unit = random_unit(rng, 2, 1, 3)
+    x = rng.normal(size=(1, 3, 4, 4))
+    r = rng.normal(size=(2, 3, 4, 4))
+    _, cache = unit.forward(x)
+    unit.backward(r, cache)
+    with pytest.raises(ValueError, match="cache is used up"):
+        unit.backward(r, cache)

@@ -1,10 +1,11 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from voxwalk import network
+from voxwalk import convops, network
 from voxwalk.convops import pool3d_forward, upsample
 from voxwalk.network import (
     NetworkSpec,
@@ -338,6 +339,64 @@ def test_depth2_checkpoint_bytes_are_pinned(tmp_path, unit_type, digest):
     assert hashlib.sha256((tmp_path / "net.ckpt").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("unit_type, digest", [
+    ("conv3d", "4960ac9f011bbc89cbaedc724b4bbc5e009c1b4789c23a2c482b870f52d54e9b"),
+    ("convlstm", "23896fe906c22139098bd1356c589d4d77c5e17baa2e9a12b655c7cc5dc0a859"),
+], ids=["conv3d", "convlstm"])
+def test_multi_slab_gradient_bytes_are_pinned(monkeypatch, unit_type, digest):
+    # Pins the float32 gradient of one loss_and_grads at 16x32x32, where the
+    # level-0 convolutions span several slabs; the checkpoint pins above
+    # train on 4x8x8 volumes, where every convolution fits in one slab.
+    slabs_per_call = []
+    slabs = convops._slabs
+
+    def count(*args):
+        slabs_per_call.append(0)
+        for item in slabs(*args):
+            slabs_per_call[-1] += 1
+            yield item
+
+    monkeypatch.setattr(convops, "_slabs", count)
+    net = RandomConnectionNet(NetworkSpec(unit_type, 2, (4, 8, 16), rng_seed=5))
+    rng = np.random.default_rng(5)
+    vol = rng.normal(0.5, 0.25, (16, 32, 32))
+    _, grad = net.loss_and_grads(vol, (vol > 0.5).astype(np.float64),
+                                 mask=np.array([True, False]))
+    assert max(slabs_per_call) > 1
+    assert hashlib.sha256(grad.tobytes()).hexdigest() == digest
+
+
+def test_convlstm_training_step_peak_memory_is_bounded():
+    """One ConvLSTM loss_and_grads at 16x32x32 (16,384 voxels, widths 4,8,16)
+    peaks at ~8.2 MiB (~525 B per voxel) when the unit caches only its gates
+    and cell sequence and each level frees its caches as the backward uses
+    them.  A unit that caches every step's activations, tanh(c) and padded
+    hidden state peaks at ~12.4 MiB there and fails the bound."""
+    net = RandomConnectionNet(NetworkSpec("convlstm", 2, (4, 8, 16), rng_seed=5))
+    rng = np.random.default_rng(5)
+    vol = rng.normal(0.5, 0.25, (16, 32, 32))
+    label = (vol > 0.5).astype(np.float64)
+    tracemalloc.start()
+    try:
+        net.loss_and_grads(vol, label, mask=np.ones(2, dtype=bool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 << 20
+
+
+@pytest.mark.parametrize("make, dims", [(small_conv_net, (4, 4, 4)),
+                                        (small_lstm_net, (3, 4, 4))])
+def test_backward_uses_up_the_caches(make, dims):
+    net = make(seed=20)
+    vol = np.random.default_rng(20).normal(0.5, 0.3, dims)
+    gates = net._gates(np.array([True]))
+    z, caches = net._forward_full(vol, gates)
+    net._backward_full(np.ones_like(z), caches, gates)
+    with pytest.raises(ValueError, match="cache is used up"):
+        net._backward_full(np.ones_like(z), caches, gates)
+
+
 def test_checkpoint_corruption_detected(tmp_path):
     net = small_conv_net(seed=16)
     path = tmp_path / "net.ckpt"
@@ -399,24 +458,24 @@ def test_infer_modes():
 
 
 def stability_signature(net, vol):
-    """ReLU masks and pool argmax routes; equal signatures on both sides of a
-    perturbation mean no kink was crossed."""
+    """ReLU masks and pool argmax routes of a conv3d net; equal signatures on
+    both sides of a perturbation mean no kink was crossed."""
     gates = net._gates(None)
     _, (level, _) = net._forward_full(vol, gates)
-    sig = []
+    masks, routes = [], []
     # walk the level caches from the top down to the bridge
     while True:
-        uc = level[0]
-        if isinstance(uc, tuple) and len(uc) == 3 and uc[2] is not None:
-            sig.append(uc[2].copy())
+        masks.append(level[0][2])
         if len(level) == 1:
-            return sig
+            break
         _, pc, level, upc, dc = level
-        sig.append(pc[4].copy())
-        if upc[2] is not None:
-            sig.append(upc[2].copy())
-        if isinstance(dc, tuple) and len(dc) == 3 and dc[2] is not None:
-            sig.append(dc[2].copy())
+        routes.append(pc[4])
+        masks.append(dc[2])
+        assert upc[2] is None  # the projections apply no ReLU
+    # a ReLU in every encoder and decoder, and one route per pool
+    assert len(masks) == 2 * net.spec.depth + 1 and len(routes) == net.spec.depth
+    assert all(m.dtype == np.bool_ for m in masks)
+    return [a.copy() for a in masks + routes]
 
 
 def network_loss_grad_check(unit_type, seed, epsilon=1e-4):

@@ -4,11 +4,12 @@ skip connections, plus a toy-scale SGD trainer.
 Architecture: `depth` pooling levels with one network unit (3D convolution
 or ConvLSTM) per level on each path, run as one recursive level: level i
 applies its contracting unit and, above the bridge, pools, recurses,
-upsamples and projects, adds gate_i * (its contracting output) and applies
-its expanding unit.  Backward recurses the same way, so a skip tensor lives
-only as long as its level.  gate_i is a Bernoulli(alpha) draw per training
-iteration (so 2^depth computation graphs are sampled) or the constant alpha
-in expectation mode at inference.
+projects with a 1×1×1 conv and then upsamples (the two commute), adds that
+in place to gate_i * (its contracting output) and applies its expanding
+unit.  Backward recurses the same way, so a skip tensor lives only as long
+as its level.  gate_i is a Bernoulli(alpha) draw per training iteration
+(so 2^depth computation graphs are sampled) or the constant alpha in
+expectation mode at inference.
 
 The forward returns caches that the backward uses up: each level pops its
 decoder and projection caches as it uses them, so they are freed before
@@ -365,16 +366,18 @@ class RandomConnectionNet:
         return mask.astype(self.dtype)
 
     def _forward_level(self, i, x, gates):
-        """Level i on input x.  Returns (out, cache), the cache being the
-        list [uc] at the bridge and [uc, pc, sub, upc, dc] above it, sub
-        being level i+1's."""
+        """Level i on input x.  Returns (out, cache), the cache being [uc] at
+        the bridge and [uc, pc, sub, upc, dc] above it, sub being level
+        i+1's; no cache holds the encoder output, so the merge overwrites it."""
         skip, uc = self.encoders[i].forward(x)
         if i == self.spec.depth:
             return skip, [uc]
         pooled, pc = pool3d_forward(skip, self.pool_window)
         below, sub = self._forward_level(i + 1, pooled, gates)
-        up, upc = self.upconvs[i].forward(upsample(below, self.pool_window))
-        out, dc = self.decoders[i].forward(up + gates[i] * skip)
+        up, upc = self.upconvs[i].forward(below)
+        skip *= gates[i]
+        skip += upsample(up, self.pool_window)
+        out, dc = self.decoders[i].forward(skip)
         return out, [uc, pc, sub, upc, dc]
 
     def _backward_level(self, i, dout, cache, gates, grads):
@@ -384,9 +387,9 @@ class RandomConnectionNet:
         decoder and projection caches are freed before the level below runs."""
         if i < self.spec.depth:
             dmerge, grads[self.decoders[i]] = self.decoders[i].backward(dout, cache.pop())
-            dup, grads[self.upconvs[i]] = self.upconvs[i].backward(dmerge, cache.pop())
-            dpooled = self._backward_level(
-                i + 1, upsample_backward(dup, self.pool_window), cache.pop(), gates, grads)
+            dbelow, grads[self.upconvs[i]] = self.upconvs[i].backward(
+                upsample_backward(dmerge, self.pool_window), cache.pop())
+            dpooled = self._backward_level(i + 1, dbelow, cache.pop(), gates, grads)
             dout = pool3d_backward(dpooled, cache.pop()) + gates[i] * dmerge
         dx, grads[self.encoders[i]] = self.encoders[i].backward(dout, cache.pop())
         return dx

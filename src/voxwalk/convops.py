@@ -6,20 +6,29 @@ forward/backward pair so the network code can run reverse-mode training
 without an autograd framework.
 
 Every convolution runs through one im2col + GEMM kernel (Chellapilla et
-al., 2006) on the padded grid.  In the flattened padded input, kernel tap
-(i, j, l) of every output sits at the fixed offset i·Hp·Wp + j·Wp + l from
-that output's position, so the tap's block of the [maps·d·k·k, positions]
-column matrix is one contiguous slice of the input per map.  One BLAS
-matmul per slab of output-depth planes gives the output (W @ cols), the
-weight gradient ((cols @ Gᵀ)ᵀ) or the column gradient (Wᵀ @ G, added back
-into the input one contiguous tap slice at a time).  Positions whose window
+al., 2006) on the padded grid, with the kernel's depth taps on the GEMM's
+rows and its in-plane taps on its columns (the kn2row side of the trade-off
+in Vasudevan et al., ASAP 2017).  The [n, m, kd, kh, kw] kernel is reordered
+to a [kd·n, m·kh·kw] matrix, whose row block i is depth tap i.  In the
+flattened padded input, in-plane tap (j, l) of every position sits at the
+fixed offset j·Wp + l from it, so the tap's block of the [m·kh·kw,
+positions] column matrix is one contiguous slice of the input per map: an
+input plane is copied kh·kw times, not kd·kh·kw times.  One BLAS matmul per
+slab of input planes gives, in row block i, each input plane's share of
+output plane p − i.  The forward adds the blocks into a frame of output
+planes on the padded grid; a plane is complete once its last input plane
+has been multiplied, and the planes still open move to the frame's head
+for the next slab.  The backward gathers the kd output-gradient planes
+that each input plane feeds into the GEMM's buffer, accumulates the weight
+gradient with one GEMM per slab and adds the column gradient back into the
+input one contiguous in-plane tap slice at a time.  Positions whose window
 crosses the pad margin hold no output: the forward drops them, and the
-backward gives them a zero gradient.  The slab is as many planes as fit
-in `_SLAB_BYTES`, with its output planes on the padded grid, so the buffers
-stay bounded whatever the volume size.  A strided conv is the unit-stride
-conv subsampled: its gradient is placed onto the unit-stride grid.  conv2d,
-the ConvLSTM's per-step state convolution, is the same kernel at depth 1
-with 'same' padding and no bias.
+backward gives them a zero gradient.  The slab is as many input planes as
+fit in `_SLAB_BYTES`, so the buffers stay bounded whatever the volume
+size.  A strided conv is the unit-stride conv subsampled: its gradient is
+placed onto the unit-stride grid.  A kernel of depth 1 is the same code
+with one row block and an empty frame head, which is how conv2d, the
+ConvLSTM's per-step state convolution, and the 1×1×1 projections run.
 
 Operations compute in numpy's promoted dtype of their arguments, and the
 column buffer takes that dtype too.  The network holds float32 parameters
@@ -31,8 +40,8 @@ checks promote the parameters and run the same code in float64.
 import numpy as np
 
 # upper bound on the bytes of one slab's buffers: its im2col columns plus
-# its output planes on the padded grid; a slab holds as many output-depth
-# planes as fit, and at least one
+# its GEMM output and output frame on the padded grid; a slab holds as many
+# input planes as fit, and at least one
 _SLAB_BYTES = 2 << 20
 
 
@@ -67,63 +76,95 @@ def _pad_spatial(x, kernel_extents, padding, spatial_axes):
     return xp, pads
 
 
-def _slabs(xp, kext, stride, n, dtype, zeroed):
-    """Padded-grid im2col, one slab of output-depth planes at a time.
+def _slabs(xp, kext, stride, n, dtype):
+    """Padded-grid im2col of the in-plane taps, one slab of input planes at a time.
 
-    Yields (out, grid, gslab, cols, taps) per slab.  `cols` [m·d·kh·kw, q]
-    holds the windows of the slab's q positions on the padded grid, and
-    `taps` pairs each kernel tap's block of `cols` with the slice of the
-    flattened `xp` it was copied from.  `gslab` [n, q] is a buffer for the
-    slab's outputs on the padded grid, and `grid` views the true (strided)
-    outputs in it, which are planes `out` of the output.  The backward
-    needs `zeroed`, since its GEMM reads the positions `grid` skips; the
-    forward's GEMM writes every position that `grid` reads.  One
-    pair of buffers, of at most `_SLAB_BYTES` (or one stride period of
-    planes), serves every slab.
+    Yields (z0, frame, gslab, cols, taps, shifts) per slab of P input
+    planes.  `cols` [m·kh·kw, q] holds the in-plane windows of the slab's q
+    positions on the padded grid, and `taps` pairs each in-plane tap's
+    block of `cols` with the slice of the flattened `xp` it was copied
+    from.  `gslab` [kd·n, q] is the GEMM's output or gradient operand: its
+    row block i is depth tap i, so its column of input plane p belongs to
+    output plane p − i.  `frame` [n, kd−1+P, Hp, Wp] holds output planes
+    z0, z0+1, ... on the padded grid: its last P planes are row block 0,
+    and `shifts` pairs each row block i ≥ 1 with the slice of `frame` that
+    holds its output planes.  One zeroed buffer, of at most `_SLAB_BYTES`
+    (or one stride period of planes), serves every slab, and the first
+    kd−1 planes of a frame keep what the caller left in them.
     """
     m, dp, hp, wp = xp.shape
-    du, hu, wu = dp - kext[0] + 1, hp - kext[1] + 1, wp - kext[2] + 1
-    sd, sh, sw = stride
+    kd, kh, kw = kext
+    hu, wu = hp - kh + 1, wp - kw + 1
+    sd = stride[0]
     plane = hp * wp
-    offs = [i * plane + j * wp + l for i, j, l in np.ndindex(*kext)]
+    lead = (kd - 1) * plane
+    offs = [j * wp + l for j, l in np.ndindex(kh, kw)]
     rows = m * len(offs)
-    fit = _SLAB_BYTES // max(1, (rows + n) * plane * np.dtype(dtype).itemsize)
-    # whole stride periods, so every slab writes its gradient to the same
-    # grid positions and all other positions stay zero
-    per = max(sd, min(du, fit - fit % sd))
+    fit = ((_SLAB_BYTES // (plane * np.dtype(dtype).itemsize) - (kd - 1) * kd * n)
+           // (rows + kd * n))
+    # whole stride periods, so every frame holds the strided outputs at the
+    # same planes, and the planes between them stay zero
+    per = max(sd, min(dp, fit - fit % sd))
     xf = xp.reshape(m, -1)
     cbuf = np.empty(rows * per * plane, dtype=dtype)
-    gbuf = (np.zeros if zeroed else np.empty)((n, per * plane), dtype=dtype)
-    for z0 in range(0, du, per):
-        z1 = min(du, z0 + per)
+    gbuf = np.zeros((kd * n, lead + per * plane), dtype=dtype)
+    for p0 in range(0, dp, per):
+        p1 = min(dp, p0 + per)
         # q1 ends at the slab's last true output, so no tap reads past xf's end
-        q0, q1 = z0 * plane, (z1 - 1) * plane + (hu - 1) * wp + wu
+        q0, q1 = p0 * plane, (p1 - 1) * plane + (hu - 1) * wp + wu
         cols = cbuf[:rows * (q1 - q0)].reshape(m, len(offs), q1 - q0)
         taps = [(cols[:, t], slice(q0 + off, q1 + off)) for t, off in enumerate(offs)]
         for block, win in taps:
             block[...] = xf[:, win]
-        grid = gbuf[:, :(z1 - z0) * plane].reshape(n, z1 - z0, hp, wp)
-        yield (slice(z0 // sd, -(-z1 // sd)), grid[:, ::sd, :hu:sh, :wu:sw],
-               gbuf[:, :q1 - q0], cols.reshape(rows, -1), taps)
+        gslab = gbuf[:, lead:lead + q1 - q0]
+        shifts = [(gbuf[:n, lead - i * plane:lead - i * plane + q1 - q0],
+                   gslab[i * n:(i + 1) * n]) for i in range(1, kd)]
+        frame = gbuf[:n, :lead + (p1 - p0) * plane].reshape(n, -1, hp, wp)
+        yield p0 - (kd - 1), frame, gslab, cols.reshape(rows, -1), taps, shifts
+
+
+def _on_grid(frame, z0, planes, du, kext, stride):
+    """(out, held, grid) for the output planes in the first `planes` planes
+    of `frame`, whose plane a holds output plane z0 + a: `out` slices them
+    out of the (strided) output, `held` views their planes in frame, and
+    `grid` their true outputs."""
+    sd, sh, sw = stride
+    hu, wu = frame.shape[2] - kext[1] + 1, frame.shape[3] - kext[2] + 1
+    lo = -(-max(z0, 0) // sd)
+    hi = max(lo, -(-min(du, z0 + planes) // sd))
+    held = frame[:, lo * sd - z0:hi * sd - z0:sd]
+    return slice(lo, hi), held, held[:, :, :hu:sh, :wu:sw]
+
+
+def _by_depth_tap(weights):
+    """[n, m, kd, kh, kw] kernels as the [kd·n, m·kh·kw] matrix of `_slabs`."""
+    return weights.transpose(2, 0, 1, 3, 4).reshape(weights.shape[0] * weights.shape[2], -1)
 
 
 def _conv_backward(grad, xp, weights, stride, pads):
     """(dx, dweights) of a convolution; the bias gradient is the caller's."""
-    n = weights.shape[0]
+    n, kext = weights.shape[0], weights.shape[2:]
+    kd = kext[0]
     dtype = np.result_type(grad, xp, weights)
-    w2 = weights.reshape(n, -1)
+    w2 = _by_depth_tap(weights)
     dxp = np.zeros(xp.shape, dtype=dtype)
     dxf = dxp.reshape(xp.shape[0], -1)
     dwt = np.zeros(w2.shape[::-1], dtype=dtype)
     stride = _as_triple(stride)
-    for out, grid, gslab, cols, taps in _slabs(xp, weights.shape[2:], stride, n, dtype, True):
+    du = xp.shape[1] - kd + 1
+    for z0, frame, gslab, cols, taps, shifts in _slabs(xp, kext, stride, n, dtype):
+        out, _, grid = _on_grid(frame, z0, frame.shape[1], du, kext, stride)
         grid[...] = grad[:, out]
+        frame[:, du - z0:] = 0  # past the last output plane
+        for acc, block in shifts:
+            block[...] = acc
         dwt += cols @ gslab.T
         np.matmul(w2.T, gslab, out=cols)  # the tap blocks now hold column gradients
         for block, win in taps:
             dxf[:, win] += block
     dx = dxp[tuple(slice(lo, dxp.shape[ax] - hi) for ax, (lo, hi) in enumerate(pads))]
-    return dx, dwt.T.reshape(weights.shape)
+    dw = dwt.T.reshape((kd, n) + weights.shape[1:2] + weights.shape[3:])
+    return dx, dw.transpose(1, 2, 0, 3, 4)
 
 
 def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
@@ -158,17 +199,23 @@ def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
         raise ValueError(
             f"kernel extents {kext} do not fit inside input extents {x.shape[1:]} "
             f"under {padding!r} padding")
-    n = weights.shape[0]
+    n, kd = weights.shape[0], kext[0]
     out_shape = tuple((s - k) // st + 1 for s, k, st in zip(xp.shape[1:], kext, stride))
     dtype = np.result_type(xp, weights)
-    w2 = weights.reshape(n, -1)
+    w2 = _by_depth_tap(weights)
+    du = xp.shape[1] - kd + 1
     y = np.empty((n,) + out_shape, dtype=dtype)
-    for out, grid, gslab, cols, _ in _slabs(xp, kext, stride, n, dtype, False):
+    for z0, frame, gslab, cols, _, shifts in _slabs(xp, kext, stride, n, dtype):
         np.matmul(w2, cols, out=gslab)
-        if bias is None:
-            y[:, out] = grid
-        else:
-            np.add(grid, bias[:, None, None, None], out=y[:, out])
+        for acc, block in shifts:
+            acc += block
+        # the frame's first P planes have had all kd of their input planes
+        done = frame.shape[1] - (kd - 1)
+        out, held, grid = _on_grid(frame, z0, done, du, kext, stride)
+        if bias is not None:
+            held += bias[:, None, None, None]  # whole planes: fewer, longer loops
+        y[:, out] = grid
+        frame[:, :kd - 1] = frame[:, done:]
     return y, xp, pads
 
 
@@ -217,16 +264,20 @@ def _check_window(x, window):
     return window
 
 
-def _pool_view(x, window):
-    """Reshape to [out..., window-flat] so reductions run over the last axis."""
-    out = tuple(s // w for s, w in zip(x.shape, window))
-    inter = []
-    for o, w in zip(out, window):
-        inter.extend((o, w))
-    r = x.ndim
-    perm = tuple(range(0, 2 * r, 2)) + tuple(range(1, 2 * r, 2))
-    flat = x.reshape(inter).transpose(perm).reshape(out + (-1,))
-    return flat, out, perm
+def _window_views(x, window):
+    """One strided view per window offset, in the window's C order: view k
+    holds the k-th voxel of every block."""
+    return [x[tuple(slice(o, None, w) for o, w in zip(offset, window))]
+            for offset in np.ndindex(*window)]
+
+
+def _voxel_index(shape, window, arg):
+    """Flat index, into a C-ordered array of `shape`, of voxel arg of each block."""
+    steps = np.cumprod((1,) + shape[:0:-1])[::-1]
+    index = np.array([np.dot(offset, steps) for offset in np.ndindex(*window)])[arg]
+    for ax, (o, w, s) in enumerate(zip(arg.shape, window, steps)):
+        index += (np.arange(o) * (w * s)).reshape((-1,) + (1,) * (arg.ndim - 1 - ax))
+    return index
 
 
 def pool3d_forward(x, window):
@@ -235,21 +286,32 @@ def pool3d_forward(x, window):
     """
     x = np.asarray(x)
     window = _check_window(x, window)
-    flat, out, perm = _pool_view(x, window)
-    arg = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    views = _window_views(x, window)
+    top = views[0].copy()
     # the cache keeps each block's argmax in the smallest unsigned dtype
     # that holds it: uint8 for the network's 4- and 8-voxel windows
-    return y, (x.shape, window, out, perm, arg.astype(np.min_scalar_type(flat.shape[-1] - 1)))
+    arg = np.zeros(top.shape, dtype=np.min_scalar_type(len(views) - 1))
+    take = np.empty(top.shape, dtype=bool)
+    keep = np.empty(top.shape, dtype=bool)
+    for k, v in enumerate(views[1:], 1):
+        # argmax's choice: the first maximum, NaN being the largest, so view
+        # k wins where v > top, or v is NaN and top is not
+        np.less_equal(v, top, out=take)
+        np.equal(top, top, out=keep)
+        np.greater(keep, take, out=take)
+        np.maximum(top, v, out=top)
+        np.maximum(arg, np.multiply(take, k, dtype=arg.dtype), out=arg)
+    # np.maximum may return either of two equal zeros, so the pooled values
+    # are read back from the voxels that won
+    return np.take(x, _voxel_index(x.shape, window, arg)), (window, arg)
 
 
 def pool3d_backward(grad, cache):
     """Routes each pooled gradient to the voxel that held its block's maximum."""
-    shape, window, out, perm, arg = cache
-    gflat = np.zeros(out + (int(np.prod(window)),), dtype=grad.dtype)
-    np.put_along_axis(gflat, arg[..., None], grad[..., None], axis=-1)
-    inv = np.argsort(perm)
-    return gflat.reshape(out + window).transpose(inv).reshape(shape)
+    window, arg = cache
+    dx = np.zeros(tuple(s * w for s, w in zip(arg.shape, window)), dtype=grad.dtype)
+    np.put(dx, _voxel_index(dx.shape, window, arg), grad)
+    return dx
 
 
 def upsample(x, factor):

@@ -179,14 +179,22 @@ def gate_math_forward(z, c_prev, c, h):
     z: [4n, ...] pre-activations in (input, forget, cell, output) gate
     order, overwritten by the gate activations (i, f, g, o).  Writes the new
     cell f·c_prev + i·g into c and the hidden state o·tanh(c) into h.
+    The sigmoids are :func:`sigmoid`'s operations, in its order.
     """
     n = z.shape[0] // 4
-    z[:2 * n] = sigmoid(z[:2 * n])
-    np.tanh(z[2 * n:3 * n], out=z[2 * n:3 * n])
-    z[3 * n:] = sigmoid(z[3 * n:])
+    sig = (z[:2 * n], z[3 * n:])
+    for s in sig:
+        s *= 0.5
+    np.tanh(z, out=z)
+    for s in sig:
+        s *= 0.5
+        s += 0.5
     i, f, g, o = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-    np.add(f * c_prev, i * g, out=c)
-    np.multiply(o, np.tanh(c), out=h)
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=h)
+    c += h
+    np.tanh(c, out=h)
+    h *= o
 
 
 def gate_math_backward(dh, dc, z, tc, c_prev):
@@ -194,21 +202,36 @@ def gate_math_backward(dh, dc, z, tc, c_prev):
 
     dh, dc: gradients w.r.t. the new hidden/cell values (dc may be zeros).
     z holds the step's gate activations and is overwritten by their
-    pre-activation gradients dz; tc is tanh of the new cell.  Returns dc_prev.
+    pre-activation gradients dz; tc is tanh of the new cell.  Returns
+    dc_prev, written over dc.
     """
     n = z.shape[0] // 4
     i, f, g, o = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-    do = dh * tc
-    dct = dc + dh * o * (1.0 - tc * tc)
-    df = dct * c_prev
-    di = dct * g
-    dg = dct * i
-    dc_prev = dct * f
-    # each gate is read for the last time on the line that overwrites it
-    np.multiply(di * i, 1.0 - i, out=i)
-    np.multiply(df * f, 1.0 - f, out=f)
-    np.multiply(dg, 1.0 - g * g, out=g)
-    np.multiply(do * o, 1.0 - o, out=o)
+    # each formula in the comments runs left to right, one rounding per
+    # operation, and each gate is read for the last time on the line that
+    # overwrites it
+    dct = np.multiply(tc, tc)          # dct = dc + dh·o·(1 − tc²)
+    np.subtract(1.0, dct, out=dct)
+    tmp = np.multiply(dh, o)
+    dct *= tmp
+    np.add(dc, dct, out=dct)
+    np.multiply(dh, tc, out=tmp)       # do·o·(1 − o), do = dh·tc
+    tmp *= o
+    np.subtract(1.0, o, out=o)
+    o *= tmp
+    np.multiply(dct, c_prev, out=tmp)  # df·f·(1 − f), df = dct·c_prev
+    tmp *= f
+    dc_prev = np.multiply(dct, f, out=dc)
+    np.subtract(1.0, f, out=f)
+    f *= tmp
+    np.multiply(dct, g, out=tmp)       # di·i·(1 − i), di = dct·g
+    tmp *= i
+    dct *= i                           # dg·(1 − g²), dg = dct·i
+    np.subtract(1.0, i, out=i)
+    i *= tmp
+    np.multiply(g, g, out=g)
+    np.subtract(1.0, g, out=g)
+    g *= dct
     return dc_prev
 
 
@@ -220,7 +243,8 @@ class ConvLSTMUnit:
     Weights are gate-stacked in (i,f,c,o) order: input-to-state kernels
     wx [4n,m,k,k], state-to-state kernels wh [4n,n,k,k], biases b [4n].
     The input-to-state convolutions for all steps run as one batched
-    convolution; the state-to-state convolution runs per step.
+    convolution; the state-to-state convolution runs per step, from the
+    second on, since the initial state is 0.
 
     The forward writes each step's gate activations over that step's input
     terms, and caches only them, the cell sequence c_0..c_L (c_0 = 0) and
@@ -248,12 +272,13 @@ class ConvLSTMUnit:
         z, xp, xpads = conv3d_forward(x, self.wx[:, :, None], self.b, padding="same")
         cells = np.zeros((n, length + 1) + x.shape[2:], dtype=x.dtype)
         outs = np.empty((n, length) + x.shape[2:], dtype=x.dtype)
-        h = cells[:, 0]  # the zero initial state
+        # a 1-step scan runs no state convolution and keeps these unused pads
+        hpads = [(0, 0)] * 3
         for t in range(length):
-            hterm, _, hpads = conv2d_forward(h, self.wh)
-            z[:, t] += hterm
-            h = outs[:, t]
-            gate_math_forward(z[:, t], cells[:, t], cells[:, t + 1], h)
+            if t:
+                hterm, _, hpads = conv2d_forward(outs[:, t - 1], self.wh)
+                z[:, t] += hterm
+            gate_math_forward(z[:, t], cells[:, t], cells[:, t + 1], outs[:, t])
         return outs, [xp, xpads, z, cells, hpads]
 
     def backward(self, dy, cache):
@@ -275,10 +300,8 @@ class ConvLSTMUnit:
             if t:
                 tc = np.tanh(cells[:, t])
                 np.multiply(z[3 * n:, t - 1], tc, out=h_prev)
-            else:
-                h_prev[...] = 0
-            dh_next, dwh_t = conv2d_backward(z[:, t], hp, self.wh, hpads)
-            dwh += dwh_t
+                dh_next, dwh_t = conv2d_backward(z[:, t], hp, self.wh, hpads)
+                dwh += dwh_t
         dx, dwx, db = conv3d_backward(z, xp, self.wx[:, :, None], (1, 1, 1), xpads)
         return dx, {"wx": dwx[:, :, 0], "wh": dwh, "b": db}
 

@@ -161,32 +161,37 @@ def small_slabs(monkeypatch):
 def test_conv3d_strided_multi_slab_matches_loop_oracle(small_slabs, padding):
     rng = np.random.default_rng(23)
     x = rng.normal(size=(2, 7, 6, 8))
-    w = rng.normal(size=(3, 2, 2, 3, 2))
     b = rng.normal(size=3)
-    for stride in ((1, 1, 1), (2, 1, 3)):
-        full = conv3d_oracle(x, w, b, padding=padding)
-        got = conv3d(x, w, b, stride=stride, padding=padding)
-        assert got.shape[1] > 2  # more output planes than fit in one slab
-        assert np.allclose(got, full[:, ::stride[0], ::stride[1], ::stride[2]], rtol=1e-12)
+    # depth 3: output planes stay open across several slabs
+    for w in (rng.normal(size=(3, 2, 2, 3, 2)), rng.normal(size=(3, 2, 3, 3, 2))):
+        for stride in ((1, 1, 1), (2, 1, 3)):
+            full = conv3d_oracle(x, w, b, padding=padding)
+            got = conv3d(x, w, b, stride=stride, padding=padding)
+            assert got.shape[1] > 2  # more output planes than fit in one slab
+            assert np.allclose(got, full[:, ::stride[0], ::stride[1], ::stride[2]], rtol=1e-12)
 
 
 @pytest.mark.parametrize("padding", ["valid", "same"])
 def test_conv3d_forward_reads_only_what_its_gemm_writes(small_slabs, monkeypatch, padding):
-    """The forward's slab buffer is not zeroed: NaN in every position its
-    output view reads, put there before the GEMM, changes no output."""
+    """The forward's slab buffer keeps stale values from slab to slab: NaN
+    in every plane of the GEMM's output, put there before the GEMM, changes
+    no output.  Only the frame's first kd-1 planes, the output planes left
+    open by the previous slab, are kept."""
     slabs = convops._slabs
-
-    def poisoned(xp, kext, stride, n, dtype, zeroed):
-        for item in slabs(xp, kext, stride, n, dtype, zeroed):
-            if not zeroed:
-                item[1][...] = np.nan  # the slab's true outputs on the padded grid
-            yield item
-
-    monkeypatch.setattr(convops, "_slabs", poisoned)
     rng = np.random.default_rng(24)
     x = rng.normal(size=(2, 7, 6, 8))
     w = rng.normal(size=(3, 2, 2, 3, 2))
     b = rng.normal(size=3)
+
+    def poisoned(*args):
+        for item in slabs(*args):
+            _, frame, _, _, _, shifts = item
+            frame[:, w.shape[2] - 1:] = np.nan  # depth tap 0's rows, past the GEMM's end too
+            for _, block in shifts:
+                block[...] = np.nan
+            yield item
+
+    monkeypatch.setattr(convops, "_slabs", poisoned)
     for stride in ((1, 1, 1), (2, 1, 3)):
         full = conv3d_oracle(x, w, b, padding=padding)
         got = conv3d(x, w, b, stride=stride, padding=padding)
@@ -238,25 +243,27 @@ def test_conv_slab_size_does_not_change_results(monkeypatch):
 
 def test_conv3d_peak_memory_is_bounded():
     """Beyond its output and padded input, a conv holds one slab's buffers:
-    a full-volume output or gradient on the padded grid breaks the bounds."""
+    a full-volume output, output sum or gradient on the padded grid breaks
+    the bounds, for an in-plane kernel and for a 3x3x3 one."""
     rng = np.random.default_rng(41)
-    x = rng.normal(size=(1, 32, 64, 64)).astype(np.float32)
-    w = rng.normal(size=(32, 1, 1, 3, 3)).astype(np.float32)
-    b = np.zeros(32, dtype=np.float32)
     slack = convops._SLAB_BYTES + (1 << 20)
-    tracemalloc.start()
-    try:
-        y, xp, pads = conv3d_forward(x, w, b, padding="same")
-        forward_peak = tracemalloc.get_traced_memory()[1]
-        g = np.ones_like(y)
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        conv3d_backward(g, xp, w, (1, 1, 1), pads)
-        backward_peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert forward_peak <= y.nbytes + xp.nbytes + slack
-    assert backward_peak <= 2 * xp.nbytes + slack
+    for maps, kernel in ((1, (32, 1, 1, 3, 3)), (8, (8, 8, 3, 3, 3))):
+        x = rng.normal(size=(maps, 32, 64, 64)).astype(np.float32)
+        w = rng.normal(size=kernel).astype(np.float32)
+        b = np.zeros(kernel[0], dtype=np.float32)
+        tracemalloc.start()
+        try:
+            y, xp, pads = conv3d_forward(x, w, b, padding="same")
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            g = np.ones_like(y)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            conv3d_backward(g, xp, w, (1, 1, 1), pads)
+            backward_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= y.nbytes + xp.nbytes + slack, kernel
+        assert backward_peak <= 2 * xp.nbytes + slack, kernel
 
 
 def test_conv2d_matches_conv3d_on_singleton_axis():
@@ -325,9 +332,34 @@ def test_pool_caches_the_smallest_unsigned_index(window, dtype):
     # each block's maximum at its last voxel, index 271 in a 16x17 window
     x[:, window[1] - 1::window[1], window[2] - 1::window[2], window[3] - 1::window[3]] = 10.0
     y, cache = pool3d_forward(x, window)
-    assert cache[4].dtype == dtype
+    assert cache[-1].dtype == dtype
     dx = pool3d_backward(np.ones_like(y), cache)
     assert np.array_equal(dx, (x == 10.0).astype(float))
+
+
+def test_pool_routes_through_argmax_voxel_with_nan_and_signed_zeros():
+    """The pooled value and its cached index are argmax's voxel: a window's
+    first NaN, else its first maximum, so of equal zeros the first one's
+    sign; the gradient goes to that voxel and every other voxel gets +0."""
+    rng = np.random.default_rng(43)
+    x = rng.normal(size=(2, 4, 6, 6))
+    x *= x > 0  # as after a ReLU: -0.0 where x was negative
+    x[0, 2:4, 0:2, 0:2] = -0.0
+    x[0, 2, 0, 1] = 0.0
+    x[0, 2:4, 2:4, 0:2] = -0.0
+    x[0, 2, 2, 0] = 0.0
+    x[1, 1, 2:4, 1:5] = np.nan
+    y, cache = pool3d_forward(x, (1, 2, 2, 2))
+    blocks = x.reshape(2, 2, 2, 3, 2, 3, 2).transpose(0, 1, 3, 5, 2, 4, 6).reshape(2, 2, 3, 3, 8)
+    arg = blocks.argmax(axis=-1)
+    assert np.array_equal(cache[-1], arg)
+    assert y.tobytes() == np.take_along_axis(blocks, arg[..., None], axis=-1).tobytes()
+    assert np.signbit(y[0, 1, 0, 0]) and not np.signbit(y[0, 1, 1, 0])
+    g = rng.normal(size=y.shape)
+    routed = np.zeros(blocks.shape)
+    np.put_along_axis(routed, arg[..., None], g[..., None], axis=-1)
+    want = routed.reshape(2, 2, 3, 3, 2, 2, 2).transpose(0, 1, 4, 2, 5, 3, 6).reshape(x.shape)
+    assert pool3d_backward(g, cache).tobytes() == want.tobytes()
 
 
 def test_pool_backward_matches_numeric():

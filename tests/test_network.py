@@ -324,7 +324,7 @@ def test_convlstm_checkpoint_bytes_are_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("unit_type, digest", [
-    ("conv3d", "1819cc1c2ef1fdfc815ee90f2c977c0f8380714a848a88af97d05460464dfca6"),
+    ("conv3d", "fa433e1b816edabc159e13c36e0eda1ebeaf2e705e0e1ce08e09e8e8ffaa6892"),
     ("convlstm", "4d1df6f4b58bc550f6850a31b108235a649af1173e70ff5c7622e27cb7e78e26"),
 ], ids=["conv3d", "convlstm"])
 def test_depth2_checkpoint_bytes_are_pinned(tmp_path, unit_type, digest):
@@ -344,7 +344,7 @@ def test_depth2_checkpoint_bytes_are_pinned(tmp_path, unit_type, digest):
 
 
 @pytest.mark.parametrize("unit_type, digest", [
-    ("conv3d", "6fa97a3b5cfd825aeeb26d3bd35d1dcf571c4b10db2a005826a88064fa2c23a6"),
+    ("conv3d", "d5669e8729818e0416088be690e8afacebf1fe7adcd1ebc9c0fc124b23c605c4"),
     ("convlstm", "69a0370d11546d8e7815a64c831f1faa2dc5e7cf2394d4726bfee6cff9dc4636"),
 ], ids=["conv3d", "convlstm"])
 def test_multi_slab_gradient_bytes_are_pinned(monkeypatch, unit_type, digest):
@@ -489,7 +489,7 @@ def stability_signature(net, vol, mask=None):
         if len(level) == 1:
             break
         _, pc, level, upc, dc = level
-        routes.append(pc[4])
+        routes.append(pc[-1])
         masks.append(dc[2])
         assert upc[2] is None  # the projections apply no ReLU
     # a ReLU in every encoder and decoder, and one route per pool

@@ -5,30 +5,36 @@ Everything works on plain numpy arrays in channels-first layout
 forward/backward pair so the network code can run reverse-mode training
 without an autograd framework.
 
-Every convolution runs through one im2col + GEMM kernel (Chellapilla et
-al., 2006) on the padded grid, with the kernel's depth taps on the GEMM's
-rows and its in-plane taps on its columns (the kn2row side of the trade-off
-in Vasudevan et al., ASAP 2017).  The [n, m, kd, kh, kw] kernel is reordered
-to a [kd·n, m·kh·kw] matrix, whose row block i is depth tap i.  In the
-flattened padded input, in-plane tap (j, l) of every position sits at the
-fixed offset j·Wp + l from it, so the tap's block of the [m·kh·kw,
-positions] column matrix is one contiguous slice of the input per map: an
-input plane is copied kh·kw times, not kd·kh·kw times.  One BLAS matmul per
-slab of input planes gives, in row block i, each input plane's share of
-output plane p − i.  The forward adds the blocks into a frame of output
-planes on the padded grid; a plane is complete once its last input plane
-has been multiplied, and the planes still open move to the frame's head
-for the next slab.  The backward gathers the kd output-gradient planes
-that each input plane feeds into the GEMM's buffer, accumulates the weight
-gradient with one GEMM per slab and adds the column gradient back into the
-input one contiguous in-plane tap slice at a time.  Positions whose window
-crosses the pad margin hold no output: the forward drops them, and the
-backward gives them a zero gradient.  The slab is as many input planes as
-fit in `_SLAB_BYTES`, so the buffers stay bounded whatever the volume
-size.  A strided conv is the unit-stride conv subsampled: its gradient is
-placed onto the unit-stride grid.  A kernel of depth 1 is the same code
-with one row block and an empty frame head, which is how conv2d, the
-ConvLSTM's per-step state convolution, and the 1×1×1 projections run.
+Every convolution runs through one unit-stride im2col + GEMM kernel
+(Chellapilla et al., 2006) on the padded grid, with the kernel's depth taps
+on the GEMM's rows and its in-plane taps on its columns (the kn2row side of
+the trade-off in Vasudevan et al., ASAP 2017).  The [n, m, kd, kh, kw]
+kernel is reordered to a [kd·n, m·kh·kw] matrix, whose row block i is depth
+tap i.  In the flattened padded input, in-plane tap (j, l) of every
+position sits at the fixed offset j·Wp + l from it, so the tap's block of
+the [m·kh·kw, positions] column matrix is one contiguous slice of the input
+per map: an input plane is copied kh·kw times, not kd·kh·kw times.  One
+BLAS matmul per slab of input planes gives, in row block i, each input
+plane's share of output plane p − i.  Both directions hold a frame of
+output planes on the padded grid, whose last kd−1 planes are still open
+when a slab ends and move to the frame's head for the next one.  The
+forward adds the blocks into the frame; a plane is complete once its last
+input plane has been multiplied.  The backward writes each output-gradient
+plane into the frame once, gathers the kd planes that each input plane
+feeds into the GEMM's buffer, accumulates the weight gradient with one GEMM
+per slab and adds the column gradient back into the input one contiguous
+in-plane tap slice at a time.  Positions whose window crosses the pad
+margin hold no output: the forward drops them, and the backward gives them
+a zero gradient.  The slab is as many input planes as fit in
+`_SLAB_BYTES`, so the buffers stay bounded whatever the volume size.  A
+kernel of depth 1 is the same code with one row block and an empty frame
+head, which is how conv2d, the ConvLSTM's per-step state convolution, and
+the 1×1×1 projections run.
+
+Stride lives at the API edge: a strided conv is the unit-stride conv
+subsampled, and its gradient is the unit-stride gradient of the output
+gradient placed on a zeroed unit-stride grid (Dumoulin & Visin,
+arXiv:1603.07285).  The network itself runs only unit-stride convs.
 
 Operations compute in numpy's promoted dtype of their arguments, and the
 column buffer takes that dtype too.  The network holds float32 parameters
@@ -46,37 +52,25 @@ _SLAB_BYTES = 2 << 20
 
 
 def _as_triple(v):
-    if np.isscalar(v):
-        return (int(v),) * 3
-    t = tuple(int(s) for s in v)
+    t = (int(v),) * 3 if np.isscalar(v) else tuple(int(s) for s in v)
     if len(t) != 3:
         raise ValueError(f"expected 3 stride entries, got {v!r}")
+    if any(s < 1 for s in t):
+        raise ValueError(f"stride entries must be positive, got {t}")
     return t
 
 
-def _same_pad(k):
-    lo = (k - 1) // 2
-    return lo, (k - 1) - lo
+def _check_grad(grad, shape):
+    if grad.shape != shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match output shape {shape}")
 
 
-def _pad_spatial(x, kernel_extents, padding, spatial_axes):
-    """Zero-pad the spatial axes for 'same' output extents.  Returns x itself,
-    not a copy, when there is nothing to pad ('valid', or 1-voxel kernels)."""
-    pads = [(0, 0)] * x.ndim
-    if padding == "valid":
-        return x, pads
-    if padding != "same":
-        raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    for ax, k in zip(spatial_axes, kernel_extents):
-        pads[ax] = _same_pad(k)
-    if not any(lo or hi for lo, hi in pads):
-        return x, pads
-    xp = np.zeros(tuple(s + lo + hi for s, (lo, hi) in zip(x.shape, pads)), dtype=x.dtype)
-    xp[tuple(slice(lo, lo + s) for s, (lo, _) in zip(x.shape, pads))] = x
-    return xp, pads
+def _unit_out(xp, weights):
+    """[n, ...] output extents of a unit-stride conv of the padded input xp."""
+    return (weights.shape[0],) + tuple(s - k + 1 for s, k in zip(xp.shape[1:], weights.shape[2:]))
 
 
-def _slabs(xp, kext, stride, n, dtype):
+def _slabs(xp, kext, n, dtype):
     """Padded-grid im2col of the in-plane taps, one slab of input planes at a time.
 
     Yields (z0, frame, gslab, cols, taps, shifts) per slab of P input
@@ -88,23 +82,21 @@ def _slabs(xp, kext, stride, n, dtype):
     output plane p − i.  `frame` [n, kd−1+P, Hp, Wp] holds output planes
     z0, z0+1, ... on the padded grid: its last P planes are row block 0,
     and `shifts` pairs each row block i ≥ 1 with the slice of `frame` that
-    holds its output planes.  One zeroed buffer, of at most `_SLAB_BYTES`
-    (or one stride period of planes), serves every slab, and the first
-    kd−1 planes of a frame keep what the caller left in them.
+    holds its output planes.  One zeroed buffer, of at most `_SLAB_BYTES`,
+    serves every slab.  After each slab its last kd−1 frame planes, the
+    output planes still open, move to the frame's head: this carry is the
+    only write to the first kd−1 planes, which start at zero.
     """
     m, dp, hp, wp = xp.shape
     kd, kh, kw = kext
     hu, wu = hp - kh + 1, wp - kw + 1
-    sd = stride[0]
     plane = hp * wp
     lead = (kd - 1) * plane
     offs = [j * wp + l for j, l in np.ndindex(kh, kw)]
     rows = m * len(offs)
     fit = ((_SLAB_BYTES // (plane * np.dtype(dtype).itemsize) - (kd - 1) * kd * n)
            // (rows + kd * n))
-    # whole stride periods, so every frame holds the strided outputs at the
-    # same planes, and the planes between them stay zero
-    per = max(sd, min(dp, fit - fit % sd))
+    per = max(1, min(dp, fit))
     xf = xp.reshape(m, -1)
     cbuf = np.empty(rows * per * plane, dtype=dtype)
     gbuf = np.zeros((kd * n, lead + per * plane), dtype=dtype)
@@ -121,19 +113,7 @@ def _slabs(xp, kext, stride, n, dtype):
                    gslab[i * n:(i + 1) * n]) for i in range(1, kd)]
         frame = gbuf[:n, :lead + (p1 - p0) * plane].reshape(n, -1, hp, wp)
         yield p0 - (kd - 1), frame, gslab, cols.reshape(rows, -1), taps, shifts
-
-
-def _on_grid(frame, z0, planes, du, kext, stride):
-    """(out, held, grid) for the output planes in the first `planes` planes
-    of `frame`, whose plane a holds output plane z0 + a: `out` slices them
-    out of the (strided) output, `held` views their planes in frame, and
-    `grid` their true outputs."""
-    sd, sh, sw = stride
-    hu, wu = frame.shape[2] - kext[1] + 1, frame.shape[3] - kext[2] + 1
-    lo = -(-max(z0, 0) // sd)
-    hi = max(lo, -(-min(du, z0 + planes) // sd))
-    held = frame[:, lo * sd - z0:hi * sd - z0:sd]
-    return slice(lo, hi), held, held[:, :, :hu:sh, :wu:sw]
+        frame[:, :kd - 1] = frame[:, p1 - p0:]
 
 
 def _by_depth_tap(weights):
@@ -141,21 +121,23 @@ def _by_depth_tap(weights):
     return weights.transpose(2, 0, 1, 3, 4).reshape(weights.shape[0] * weights.shape[2], -1)
 
 
-def _conv_backward(grad, xp, weights, stride, pads):
-    """(dx, dweights) of a convolution; the bias gradient is the caller's."""
+def _conv_backward(grad, xp, weights, pads):
+    """(dx, dweights) of a unit-stride convolution with output gradient
+    grad; the bias gradient is the caller's."""
     n, kext = weights.shape[0], weights.shape[2:]
     kd = kext[0]
+    hu, wu = grad.shape[2:]
     dtype = np.result_type(grad, xp, weights)
     w2 = _by_depth_tap(weights)
     dxp = np.zeros(xp.shape, dtype=dtype)
     dxf = dxp.reshape(xp.shape[0], -1)
     dwt = np.zeros(w2.shape[::-1], dtype=dtype)
-    stride = _as_triple(stride)
-    du = xp.shape[1] - kd + 1
-    for z0, frame, gslab, cols, taps, shifts in _slabs(xp, kext, stride, n, dtype):
-        out, _, grid = _on_grid(frame, z0, frame.shape[1], du, kext, stride)
-        grid[...] = grad[:, out]
-        frame[:, du - z0:] = 0  # past the last output plane
+    for z0, frame, gslab, cols, taps, shifts in _slabs(xp, kext, n, dtype):
+        # the frame's head came by the carry; its P new planes are outputs
+        # p0 ... p1-1, zero past the last output plane
+        new = grad[:, z0 + kd - 1:z0 + frame.shape[1]]
+        frame[:, kd - 1:kd - 1 + new.shape[1], :hu, :wu] = new
+        frame[:, kd - 1 + new.shape[1]:] = 0
         for acc, block in shifts:
             block[...] = acc
         dwt += cols @ gslab.T
@@ -172,7 +154,10 @@ def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
 
     bias is [n], or None for no bias.  Returns the pre-activation output
     [n,D',H',W'] together with the padded input (needed by
-    :func:`conv3d_backward`) and the pad amounts.
+    :func:`conv3d_backward`) and the pad amounts.  'same' padding puts
+    (k−1)//2 zeros before each spatial axis and the rest after; with
+    nothing to pad ('valid', or 1-voxel kernels) the padded input is x
+    itself, not a copy.
     """
     x = np.asarray(x)
     weights = np.asarray(weights)
@@ -191,31 +176,35 @@ def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
                 f"bias shape {bias.shape} does not match {weights.shape[0]} "
                 "output maps (one pair per output feature map)")
     stride = _as_triple(stride)
-    if any(s < 1 for s in stride):
-        raise ValueError(f"stride entries must be positive, got {stride}")
+    if padding not in ("same", "valid"):
+        raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
     kext = weights.shape[2:]
-    xp, pads = _pad_spatial(x, kext, padding, spatial_axes=(1, 2, 3))
+    pads = [(0, 0)] + [((k - 1) // 2, k // 2) if padding == "same" else (0, 0) for k in kext]
+    xp = x
+    if any(lo or hi for lo, hi in pads):
+        xp = np.zeros(tuple(s + lo + hi for s, (lo, hi) in zip(x.shape, pads)), dtype=x.dtype)
+        xp[tuple(slice(lo, lo + s) for s, (lo, _) in zip(x.shape, pads))] = x
     if any(xp.shape[1 + i] < kext[i] for i in range(3)):
         raise ValueError(
             f"kernel extents {kext} do not fit inside input extents {x.shape[1:]} "
             f"under {padding!r} padding")
-    n, kd = weights.shape[0], kext[0]
-    out_shape = tuple((s - k) // st + 1 for s, k, st in zip(xp.shape[1:], kext, stride))
+    kd = kext[0]
     dtype = np.result_type(xp, weights)
     w2 = _by_depth_tap(weights)
-    du = xp.shape[1] - kd + 1
-    y = np.empty((n,) + out_shape, dtype=dtype)
-    for z0, frame, gslab, cols, _, shifts in _slabs(xp, kext, stride, n, dtype):
+    y = np.empty(_unit_out(xp, weights), dtype=dtype)
+    hu, wu = y.shape[2:]
+    for z0, frame, gslab, cols, _, shifts in _slabs(xp, kext, y.shape[0], dtype):
         np.matmul(w2, cols, out=gslab)
         for acc, block in shifts:
             acc += block
         # the frame's first P planes have had all kd of their input planes
-        done = frame.shape[1] - (kd - 1)
-        out, held, grid = _on_grid(frame, z0, done, du, kext, stride)
+        lo = max(z0, 0)
+        done = frame[:, lo - z0:frame.shape[1] - (kd - 1)]
         if bias is not None:
-            held += bias[:, None, None, None]  # whole planes: fewer, longer loops
-        y[:, out] = grid
-        frame[:, :kd - 1] = frame[:, done:]
+            done += bias[:, None, None, None]  # whole planes: fewer, longer loops
+        y[:, lo:lo + done.shape[1]] = done[:, :, :hu, :wu]
+    if stride != (1, 1, 1):
+        y = y[:, ::stride[0], ::stride[1], ::stride[2]].copy()
     return y, xp, pads
 
 
@@ -223,10 +212,17 @@ def conv3d_backward(grad, xp, weights, stride, pads):
     """Gradients of a conv3d pre-activation w.r.t. input, weights, bias.
 
     grad: [n,D',H',W'] gradient at the output; xp is the padded input kept
-    from the forward pass.  A strided gradient is placed onto the unit-stride
-    output grid, whose other outputs get a zero gradient.
+    from the forward pass.  A strided gradient is placed onto a zeroed
+    unit-stride output grid, whose other outputs get a zero gradient.
     """
-    dx, dw = _conv_backward(grad, xp, weights, stride, pads)
+    stride = _as_triple(stride)
+    unit = _unit_out(xp, weights)
+    _check_grad(grad, unit[:1] + tuple(-(-u // s) for u, s in zip(unit[1:], stride)))
+    g = grad
+    if stride != (1, 1, 1):
+        g = np.zeros(unit, dtype=grad.dtype)
+        g[:, ::stride[0], ::stride[1], ::stride[2]] = grad
+    dx, dw = _conv_backward(g, xp, weights, pads)
     return dx, dw, grad.sum(axis=(1, 2, 3))
 
 
@@ -244,9 +240,9 @@ def conv2d_forward(x, weights):
 
 def conv2d_backward(grad, xp, weights, pads):
     """Gradients (dx, dweights) of :func:`conv2d_forward`."""
+    _check_grad(grad, _unit_out(xp, weights))
     pads = [pads[0], (0, 0)] + list(pads[1:])
-    dx, dweights = _conv_backward(grad[:, None], xp[:, None], weights[:, :, None],
-                                  (1, 1, 1), pads)
+    dx, dweights = _conv_backward(grad[:, None], xp[:, None], weights[:, :, None], pads)
     return dx[:, 0], dweights[:, :, 0]
 
 
@@ -309,6 +305,7 @@ def pool3d_forward(x, window):
 def pool3d_backward(grad, cache):
     """Routes each pooled gradient to the voxel that held its block's maximum."""
     window, arg = cache
+    _check_grad(grad, arg.shape)
     dx = np.zeros(tuple(s * w for s, w in zip(arg.shape, window)), dtype=grad.dtype)
     np.put(dx, _voxel_index(dx.shape, window, arg), grad)
     return dx

@@ -76,8 +76,12 @@ def test_conv3d_bias_length_checked():
 @pytest.mark.parametrize("stride", [(-1, 1, 1), (1, 0, 1), 0])
 def test_conv3d_stride_must_be_positive(stride):
     # a negative stride used to return a wrong output of full shape
+    w = np.zeros((1, 1, 2, 2, 2))
     with pytest.raises(ValueError, match="positive"):
-        conv3d_forward(np.zeros((1, 4, 4, 4)), np.zeros((1, 1, 2, 2, 2)), np.zeros(1), stride)
+        conv3d_forward(np.zeros((1, 4, 4, 4)), w, np.zeros(1), stride)
+    y, xp, pads = conv3d_forward(np.zeros((1, 4, 4, 4)), w, np.zeros(1))
+    with pytest.raises(ValueError, match="positive"):
+        conv3d_backward(y, xp, w, stride, pads)
 
 
 def test_conv3d_stride_needs_three_entries():
@@ -153,17 +157,19 @@ def test_conv3d_backward_matches_numeric():
 
 @pytest.fixture
 def small_slabs(monkeypatch):
-    # a few hundred bytes per im2col buffer: every conv below spans several slabs
+    # a few hundred bytes per im2col buffer: every conv below runs in 1-plane slabs
     monkeypatch.setattr(convops, "_SLAB_BYTES", 300)
 
 
 @pytest.mark.parametrize("padding", ["valid", "same"])
 def test_conv3d_strided_multi_slab_matches_loop_oracle(small_slabs, padding):
     rng = np.random.default_rng(23)
-    x = rng.normal(size=(2, 7, 6, 8))
+    x = rng.normal(size=(2, 9, 6, 8))
     b = rng.normal(size=3)
-    # depth 3: output planes stay open across several slabs
-    for w in (rng.normal(size=(3, 2, 2, 3, 2)), rng.normal(size=(3, 2, 3, 3, 2))):
+    # depth 3: output planes stay open across several slabs; depth 5: the
+    # frame's head carries 4 open planes, more than a slab holds
+    for w in (rng.normal(size=(3, 2, 2, 3, 2)), rng.normal(size=(3, 2, 3, 3, 2)),
+              rng.normal(size=(3, 2, 5, 3, 2))):
         for stride in ((1, 1, 1), (2, 1, 3)):
             full = conv3d_oracle(x, w, b, padding=padding)
             got = conv3d(x, w, b, stride=stride, padding=padding)
@@ -202,21 +208,22 @@ def test_conv3d_forward_reads_only_what_its_gemm_writes(small_slabs, monkeypatch
 def test_conv3d_strided_backward_matches_numeric(small_slabs, padding):
     rng = np.random.default_rng(29)
     x = rng.normal(size=(2, 7, 5, 7))
-    w = rng.normal(size=(3, 2, 3, 2, 2))
     b = rng.normal(size=3)
-    stride = (2, 1, 3)
-    y, xp, pads = conv3d_forward(x, w, b, stride, padding)
-    r = rng.normal(size=y.shape)
+    # depth 5: the frame's head carries 4 gradient planes, more than a slab holds
+    for w in (rng.normal(size=(3, 2, 3, 2, 2)), rng.normal(size=(3, 2, 5, 2, 2))):
+        for stride in ((1, 1, 1), (2, 1, 3)):
+            y, xp, pads = conv3d_forward(x, w, b, stride, padding)
+            r = rng.normal(size=y.shape)
 
-    def run():
-        y, _, _ = conv3d_forward(x, w, b, stride, padding)
-        return float((y * r).sum())
+            def run():
+                y, _, _ = conv3d_forward(x, w, b, stride, padding)
+                return float((y * r).sum())
 
-    dx, dw, db = conv3d_backward(r, xp, w, stride, pads)
-    assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
-    assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
-    assert np.allclose(dw, numeric_grad(run, w), atol=1e-7)
-    assert np.allclose(db, numeric_grad(run, b), atol=1e-7)
+            dx, dw, db = conv3d_backward(r, xp, w, stride, pads)
+            assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
+            assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
+            assert np.allclose(dw, numeric_grad(run, w), atol=1e-7)
+            assert np.allclose(db, numeric_grad(run, b), atol=1e-7)
 
 
 def test_conv_slab_size_does_not_change_results(monkeypatch):
@@ -374,6 +381,30 @@ def test_pool_backward_matches_numeric():
     _, cache = pool3d_forward(x, (1, 2, 2, 1))
     dx = pool3d_backward(r, cache)
     assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
+
+
+def test_backward_rejects_mis_shaped_gradients():
+    """A gradient that broadcasts into the output, or a 1-element one, is
+    not the output's gradient: each backward names both shapes."""
+    rng = np.random.default_rng(43)
+    w = rng.normal(size=(3, 2, 3, 3, 3))
+    _, xp, pads = conv3d_forward(rng.normal(size=(2, 4, 5, 6)), w, None, padding="same")
+    _, xp2, pads2 = conv2d_forward(rng.normal(size=(2, 5, 6)), w[:, :, 0])
+    _, cache = pool3d_forward(rng.normal(size=(3, 4, 4, 6)), (1, 2, 2, 2))
+    cases = [
+        (lambda g: conv3d_backward(g, xp, w, (1, 1, 1), pads), (3, 4, 5, 6), (3, 4, 1, 6)),
+        (lambda g: conv3d_backward(g, xp, w, (1, 1, 1), pads), (3, 4, 5, 6), (1, 4, 5, 6)),
+        (lambda g: conv3d_backward(g, xp, w, (2, 1, 3), pads), (3, 2, 5, 2), (3, 4, 5, 6)),
+        (lambda g: conv2d_backward(g, xp2, w[:, :, 0], pads2), (3, 5, 6), (3, 1, 6)),
+        (lambda g: conv2d_backward(g, xp2, w[:, :, 0], pads2), (3, 5, 6), (1, 5, 6)),
+        (lambda g: pool3d_backward(g, cache), (3, 2, 2, 3), (1,)),
+        (lambda g: pool3d_backward(g, cache), (3, 2, 2, 3), (3, 2, 2, 1)),
+    ]
+    for backward, good, bad in cases:
+        backward(np.ones(good))
+        with pytest.raises(ValueError) as err:
+            backward(np.ones(bad))
+        assert str(bad) in str(err.value) and str(good) in str(err.value)
 
 
 def test_upsample_replicates_value():

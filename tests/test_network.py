@@ -1,6 +1,11 @@
+import ast
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +309,36 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(net.forward(vol), back.forward(vol))
 
 
+def in_one_blas_thread(fn, *args):
+    """fn(*args), computed in a child process under OPENBLAS_NUM_THREADS=1,
+    the benchmark's setting.  OpenBLAS's sgemm sums in an order that depends
+    on its thread count, so a byte pin holds at one count only, and the
+    child fixes it whatever count this process runs at.  (OpenBLAS built
+    with DYNAMIC_ARCH also picks its kernels per CPU, which may still move
+    the bytes on another CPU model.)  fn is a function of this module; its
+    result comes back through repr."""
+    tests = Path(__file__).parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    code = f"import test_network; print(repr(test_network.{fn.__name__}(*{args!r})))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout)
+
+
+def checkpoint_digest(path, unit_type, depth, widths, rng_seed):
+    """sha256 of the checkpoint after 4 SGD steps on one 4x8x8 volume."""
+    rng = np.random.default_rng(9)
+    vol = rng.normal(0.5, 0.25, (4, 8, 8))
+    spec = NetworkSpec(unit_type, depth, widths, rng_seed=rng_seed)
+    net, _ = train_toy(spec, TrainConfig(learning_rate=0.5, epochs=4),
+                       [(vol, (vol > 0.5).astype(np.float64))])
+    save_checkpoint(path, net)
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def test_convlstm_checkpoint_bytes_are_pinned(tmp_path):
     # Pins the initial draws, the gradient routing of 4 SGD steps and the
     # file layout: wx, wh and b are written as the per-gate (i,f,c,o)
@@ -313,13 +348,8 @@ def test_convlstm_checkpoint_bytes_are_pinned(tmp_path):
     # initial float32 parameters with the same masks, they end at most 4.1e-8
     # from these parameters (the largest absolute difference); run in float32
     # with scipy's expit in place of the tanh-form sigmoid, at most 3.7e-9.
-    rng = np.random.default_rng(9)
-    vol = rng.normal(0.5, 0.25, (4, 8, 8))
-    spec = NetworkSpec("convlstm", 1, (2, 3), rng_seed=21)
-    net, _ = train_toy(spec, TrainConfig(learning_rate=0.5, epochs=4),
-                       [(vol, (vol > 0.5).astype(np.float64))])
-    save_checkpoint(tmp_path / "net.ckpt", net)
-    digest = hashlib.sha256((tmp_path / "net.ckpt").read_bytes()).hexdigest()
+    digest = in_one_blas_thread(checkpoint_digest, str(tmp_path / "net.ckpt"),
+                                "convlstm", 1, (2, 3), 21)
     assert digest == "239e8c6657e1d5ab1c9b11a0f333d1bab5cbc3eb81b9f3d044a474f09968ce82"
 
 
@@ -334,26 +364,13 @@ def test_depth2_checkpoint_bytes_are_pinned(tmp_path, unit_type, digest):
     # float64 promotion of the same initial float32 parameters with the same
     # masks, the 4 steps end at most 6.5e-8 (conv3d) and 3.1e-8 (convlstm)
     # from these float32 parameters (the largest absolute difference).
-    rng = np.random.default_rng(9)
-    vol = rng.normal(0.5, 0.25, (4, 8, 8))
-    spec = NetworkSpec(unit_type, 2, (2, 3, 4), rng_seed=22)
-    net, _ = train_toy(spec, TrainConfig(learning_rate=0.5, epochs=4),
-                       [(vol, (vol > 0.5).astype(np.float64))])
-    save_checkpoint(tmp_path / "net.ckpt", net)
-    assert hashlib.sha256((tmp_path / "net.ckpt").read_bytes()).hexdigest() == digest
+    assert in_one_blas_thread(checkpoint_digest, str(tmp_path / "net.ckpt"),
+                              unit_type, 2, (2, 3, 4), 22) == digest
 
 
-@pytest.mark.parametrize("unit_type, digest", [
-    ("conv3d", "d5669e8729818e0416088be690e8afacebf1fe7adcd1ebc9c0fc124b23c605c4"),
-    ("convlstm", "69a0370d11546d8e7815a64c831f1faa2dc5e7cf2394d4726bfee6cff9dc4636"),
-], ids=["conv3d", "convlstm"])
-def test_multi_slab_gradient_bytes_are_pinned(monkeypatch, unit_type, digest):
-    # Pins the float32 gradient of one loss_and_grads at 16x32x32, where the
-    # level-0 convolutions span several slabs; the checkpoint pins above
-    # train on 4x8x8 volumes, where every convolution fits in one slab.
-    # The float64 promotion of the same parameters gives a gradient at most
-    # 1.0e-9 (conv3d) and 2.7e-10 (convlstm) from this one (the largest
-    # absolute difference).
+def multi_slab_gradient_digest(unit_type):
+    """(most slabs in one conv call, sha256 of the float32 gradient of one
+    loss_and_grads at 16x32x32)."""
     slabs_per_call = []
     slabs = convops._slabs
 
@@ -363,14 +380,32 @@ def test_multi_slab_gradient_bytes_are_pinned(monkeypatch, unit_type, digest):
             slabs_per_call[-1] += 1
             yield item
 
-    monkeypatch.setattr(convops, "_slabs", count)
-    net = RandomConnectionNet(NetworkSpec(unit_type, 2, (4, 8, 16), rng_seed=5))
-    rng = np.random.default_rng(5)
-    vol = rng.normal(0.5, 0.25, (16, 32, 32))
-    _, grad = net.loss_and_grads(vol, (vol > 0.5).astype(np.float64),
-                                 mask=np.array([True, False]))
-    assert max(slabs_per_call) > 1
-    assert hashlib.sha256(grad.tobytes()).hexdigest() == digest
+    convops._slabs = count
+    try:
+        net = RandomConnectionNet(NetworkSpec(unit_type, 2, (4, 8, 16), rng_seed=5))
+        rng = np.random.default_rng(5)
+        vol = rng.normal(0.5, 0.25, (16, 32, 32))
+        _, grad = net.loss_and_grads(vol, (vol > 0.5).astype(np.float64),
+                                     mask=np.array([True, False]))
+    finally:
+        convops._slabs = slabs
+    return max(slabs_per_call), hashlib.sha256(grad.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("unit_type, digest", [
+    ("conv3d", "7a77d8cff812b60f1d15216876845bb90370e036a7d0d754aaa25c5bbd18e65d"),
+    ("convlstm", "2ba449c1217059b45ff0a242b861e845eaf9d37eee7ccf9c9927da6cfb4abe1a"),
+], ids=["conv3d", "convlstm"])
+def test_multi_slab_gradient_bytes_are_pinned(unit_type, digest):
+    # Pins the float32 gradient of one loss_and_grads at 16x32x32, where the
+    # level-0 convolutions span several slabs; the checkpoint pins above
+    # train on 4x8x8 volumes, where every convolution fits in one slab.
+    # The float64 promotion of the same parameters gives a gradient at most
+    # 1.0e-9 (conv3d) and 2.7e-10 (convlstm) from this one (the largest
+    # absolute difference).
+    slabs, got = in_one_blas_thread(multi_slab_gradient_digest, unit_type)
+    assert slabs > 1
+    assert got == digest
 
 
 def training_step_peak(unit_type):

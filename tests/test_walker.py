@@ -522,10 +522,11 @@ def test_assemble_matches_neighbor_loop(case, beta, include_dirichlet):
     for got, want in ((got_edges, want_edges), (got_dirichlet, want_dirichlet)):
         assert [g[:2] for g in got] == [w[:2] for w in want]
         assert np.allclose([g[2] for g in got], [w[2] for w in want], rtol=1e-12, atol=0)
-    flat = maps.reshape(len(maps), -1)
-    want_fg = [sum(flat[k, v] ** 2 for k in range(len(maps))) for v in sel.candidate_idx]
-    want_bg = [sum((1.0 - flat[k, v]) ** 2 for k in range(len(maps)))
-               for v in sel.candidate_idx]
+    # squares as products: Python's x ** 2 calls libm pow, which misrounds
+    # about 1 in 1000 squares by an ulp, where numpy squares exactly rounded
+    flat = maps.reshape(len(maps), -1).tolist()
+    want_fg = [sum(m[v] * m[v] for m in flat) for v in sel.candidate_idx]
+    want_bg = [sum((1.0 - m[v]) * (1.0 - m[v]) for m in flat) for v in sel.candidate_idx]
     assert np.array_equal(graph.prior_fg, np.array(want_fg, dtype=np.float64))
     assert np.array_equal(graph.prior_bg, np.array(want_bg, dtype=np.float64))
 

@@ -11,9 +11,12 @@ candidate, the hard label 0 or 1 for a confident voxel.
 
 Selection computes in the dtype of its maps: float32 maps (as volumes are
 read) give float32 energies, and every other input is promoted to float64.
-The energies are computed one slab of depth planes at a time, so that the
-work stays in cache, and the probabilities are checked there as they are
-read: once per selection.
+The energies are computed one slab of depth planes at a time, on a few flat
+buffers allocated once per call and sized by the slab, so that the work
+stays in cache and the extra memory does not grow with the volume; each
+lattice axis is one contiguous shift of the flattened slab.  The
+probabilities are checked there as they are read: each voxel once per
+selection.
 """
 
 import math
@@ -21,9 +24,10 @@ import math
 import numpy as np
 from dataclasses import dataclass, field
 
-# voxels per node_energies slab (whole depth planes, at least one): 8 planes
-# of 128x128, so that a slab's temporaries stay in cache
-_SLAB_VOXELS = 1 << 17
+# voxels per node_energies slab (whole depth planes, at least one): 4 planes
+# of 128x128, whose six flat buffers take 2 MB at float32; on a Xeon with
+# 2 MB of L2 per core, 1 << 15 and 1 << 17 ran slower on a 5x64x128x128 stack
+_SLAB_VOXELS = 1 << 16
 
 
 def as_prob_stack(maps):
@@ -88,52 +92,92 @@ def node_energies(maps):
     vector contributes u² + v² = 1 to the full square.  All arithmetic is
     in the dtype of the maps.
 
-    The volume is scored one slab of depth planes at a time, so that the
-    slab's temporaries stay in cache: as many planes as fit in
-    `_SLAB_VOXELS`, at least one.  Each slab carries one plane of halo on
-    either side, so the depth edges that cross a slab border are scored,
-    and only the slab's own planes are kept.  Every voxel thus gets the
-    same float operations in the same order as in one whole-volume pass,
-    and the energies are byte-identical at any slab size.  The
-    probabilities are checked slab by slab, as they are read.
+    The volume is scored one slab of depth planes at a time, as many as fit
+    in `_SLAB_VOXELS` (at least one), on a few flat buffers allocated once
+    per call: every step writes into them, so the extra memory is set by
+    the slab and not by the volume.  In a flattened slab each lattice axis
+    is one shift, by H·W, W or 1 voxels, so an axis's cosines are one
+    contiguous product; the in-plane edges that would join one row or plane
+    to the next are set to +0 before they are added.  Each slab reads one
+    plane of halo on either side, whose u and v serve only the depth
+    cosines that cross the slab border; the confidence, the in-plane
+    cosines and the co-located term are computed for the slab's own planes.
+
+    Every voxel gets the same float operations in the same order as in one
+    whole-volume pass that adds only the edges inside the volume: each term
+    is >= +0 and the sum starts at +0, so adding a +0 edge leaves its bytes
+    unchanged, and the energies are byte-identical at any slab size.  Each
+    plane's probabilities are checked once, before the first slab that
+    reads them computes anything from them.
 
     Lattice edges are truncated at the volume border (no phantom
     neighbors), so border energies are comparably smaller.
     """
     p = as_prob_stack(maps)
-    depth = p.shape[1]
-    energy = np.empty(p.shape[1:], dtype=p.dtype)
-    per = max(1, _SLAB_VOXELS // max(1, math.prod(p.shape[2:])))
+    k, depth, h, w = p.shape
+    plane = h * w
+    energy = np.empty((depth, h, w), dtype=p.dtype)
+    flat = energy.reshape(-1)
+    per = max(1, min(depth, _SLAB_VOXELS // max(1, plane)))
+    # u, v, cos and tmp hold a slab with its halo planes, the sums its own planes
+    u, v, cos, tmp = np.empty((4, (per + 2) * plane), dtype=p.dtype)
+    sums = np.empty((2, per * plane), dtype=p.dtype)
+    checked = 0  # planes below this one are checked
     for z0 in range(0, depth, per):
         z1 = min(depth, z0 + per)
-        a = max(0, z0 - 1)
-        energy[z0:z1] = _slab_energies(p[:, a:min(depth, z1 + 1)])[z0 - a:z1 - a]
+        a, b = max(0, z0 - 1), min(depth, z1 + 1)
+        n, m, o = (b - a) * plane, (z1 - z0) * plane, (z0 - a) * plane
+        e = flat[z0 * plane:z1 * plane]
+        su, sv = sums[:, :m]
+        for arr in (e, su, sv):
+            arr.fill(0)
+        for pk in p[:, a:b]:
+            check_probs(pk[checked - a:])
+            u3, v3, t3 = (buf[:n].reshape(b - a, h, w) for buf in (u, v, tmp))
+            np.subtract(1.0, pk, out=v3)
+            np.multiply(pk, pk, out=u3)
+            np.multiply(v3, v3, out=t3)
+            np.add(u3, t3, out=t3)
+            np.sqrt(t3, out=t3)
+            np.divide(pk, t3, out=u3)
+            np.divide(v3, t3, out=v3)
+            conf = cos[:m].reshape(z1 - z0, h, w)
+            np.multiply(2.0, pk[z0 - a:z1 - a], out=conf)
+            np.subtract(1.0, conf, out=conf)
+            np.square(conf, out=conf)
+            e += cos[:m]
+            # along each axis a voxel adds its edge to the next voxel, then
+            # its edge to the previous one; depth first, over the halo too,
+            c = _cosines(u[:n], v[:n], plane, cos, tmp)
+            e[:c.size - o] += c[o:]
+            e[plane - o:] += c[:o + m - plane]
+            # then H and W over the own planes, where the edges from a
+            # plane's last row (H) or a row's last voxel (W) lead out and are zeroed
+            uo, vo = u[o:o + m], v[o:o + m]
+            for s, rows in ((w, (z1 - z0, plane)), (1, ((z1 - z0) * h, w))):
+                c = _cosines(uo, vo, s, cos, tmp)
+                cos[:m].reshape(rows)[:, -s:] = 0
+                e[:c.size] += c
+                e[s:s + c.size] += c
+            su += uo
+            sv += vo
+        su *= su
+        sv *= sv
+        su += sv
+        su -= k
+        e += su
+        checked = b
     return energy
 
 
-def _slab_energies(p):
-    """node_energies of one [K,d,H,W] slab, checking each map's
-    probabilities before it scores them."""
-    energy = np.zeros(p.shape[1:], dtype=p.dtype)
-    sum_u = np.zeros_like(energy)
-    sum_v = np.zeros_like(energy)
-    for pk in p:
-        check_probs(pk)
-        energy += (1.0 - 2.0 * pk) ** 2
-        v = 1.0 - pk
-        norm = np.sqrt(pk * pk + v * v)
-        u = pk / norm
-        v /= norm
-        for ax in range(3):
-            lo = (slice(None),) * ax + (slice(None, -1),)
-            hi = (slice(None),) * ax + (slice(1, None),)
-            cos = u[lo] * u[hi] + v[lo] * v[hi]
-            energy[lo] += cos
-            energy[hi] += cos
-        sum_u += u
-        sum_v += v
-    energy += sum_u * sum_u + sum_v * sum_v - p.shape[0]
-    return energy
+def _cosines(u, v, s, out, tmp):
+    """out[i] = u[i]·u[i+s] + v[i]·v[i+s] over flat u and v, for every i
+    with a partner; returns that prefix of `out`."""
+    n = max(0, u.size - s)
+    c, t = out[:n], tmp[:n]
+    np.multiply(u[:n], u[s:s + n], out=c)
+    np.multiply(v[:n], v[s:s + n], out=t)
+    return np.add(c, t, out=c)
 
 
 def select(maps, theta):

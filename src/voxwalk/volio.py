@@ -13,7 +13,6 @@ float32 without widening it.
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -32,8 +31,15 @@ def sidecar_path(path):
 
 
 def _atomic_write(path, data):
+    """Write `data` to a temp file beside `path`, then rename it over `path`.
+
+    The temp file is created with mode 0o666 less the umask, as `open()`
+    creates a file (`mkstemp` would leave it owner-only), and exclusively,
+    so no existing file is reused.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vol-")
+    tmp = os.path.join(directory, f".vol-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

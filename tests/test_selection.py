@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,26 +201,74 @@ def test_nan_probability_rejected():
 
 
 @pytest.mark.parametrize("dims", [(1, 3, 4), (2, 3, 4), (3, 2, 5), (7, 3, 2),
-                                  (0, 3, 4), (3, 0, 4), (2, 3, 0)])
+                                  (0, 3, 4), (3, 0, 4), (2, 3, 0),
+                                  (3, 1, 5), (3, 4, 1), (2, 1, 1)])
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_energies_do_not_depend_on_the_slab_size(monkeypatch, dtype, k, dims):
     """A 1-voxel slab holds one depth plane, so every plane border is crossed
     through a halo; two planes leave a shorter last slab at odd depths, and
-    a slab larger than the volume scores it in one pass."""
+    a slab larger than the volume scores it in one pass.  In an H=1 or W=1
+    plane every in-plane edge of the flat slab leads out of a plane or a
+    row; zero extents give empty energies.  A transposed view of the same
+    maps, which is not contiguous, gives the same bytes."""
     rng = np.random.default_rng(41)
     maps = rng.random((k,) + dims).astype(dtype)
+    strided = np.ascontiguousarray(maps.transpose(0, 3, 2, 1)).transpose(0, 3, 2, 1)
     intensity = rng.random(dims)
     plane = math.prod(dims[1:])
     energies, fused = [], []
     for slab in (1, 2 * plane, math.prod(dims) + 1):
         monkeypatch.setattr(selection, "_SLAB_VOXELS", slab)
         energies.append(node_energies(maps))
+        assert node_energies(strided).tobytes() == energies[-1].tobytes()
         out = walker.refine(maps, intensity, 0.5, beta=100.0)
         fused.append(out.labels.tobytes() + out.x.tobytes())
     assert energies[0].dtype == dtype and energies[0].shape == dims
     assert energies[0].tobytes() == energies[1].tobytes() == energies[2].tobytes()
     assert fused[0] == fused[1] == fused[2]
+
+
+@pytest.mark.parametrize("planes", [None, 1, 3], ids=["default-slab", "1-plane", "3-plane"])
+@pytest.mark.parametrize("dtype, digest", [
+    (np.float32, "417abe00156ea8334371d7d81f285b0014ba7d9d96da9d4d278655ed9687e03b"),
+    (np.float64, "18a69e89e0f0046a5ae8707aa072bf0b3796c46c645fc86057fbea7b06916045"),
+], ids=["float32", "float64"])
+def test_energy_bytes_are_pinned(monkeypatch, dtype, digest, planes):
+    """The energies of a seeded K=3 stack of odd extents keep the bytes of
+    the per-slab pass with whole-array temporaries, which scored the halo
+    planes in full: an in-plane edge kept across a row or plane border, or
+    one add taken in another order, moves them.  Every 4th plane lies on
+    {0, 0.5, 1}, where confidences and cosines reach +0 and 1."""
+    rng = np.random.default_rng(2025)
+    maps = rng.random((3, 19, 23, 37))
+    maps[:, ::4] = np.round(2 * maps[:, ::4]) / 2
+    if planes:
+        monkeypatch.setattr(selection, "_SLAB_VOXELS", planes * 23 * 37)
+    energy = node_energies(maps.astype(dtype))
+    assert hashlib.sha256(energy.tobytes()).hexdigest() == digest
+
+
+def test_node_energies_memory_is_set_by_the_slab():
+    """Beyond its output, node_energies holds six flat slab buffers, four of
+    which also span the two halo planes; no temporary grows with the
+    volume, so its peak is the same at depth 16 and at depth 64."""
+    rng = np.random.default_rng(44)
+    h = w = 128
+    itemsize = np.dtype(np.float32).itemsize
+    bound = itemsize * (6 * selection._SLAB_VOXELS + 8 * h * w) + (1 << 16)
+    extra = []
+    for depth in (16, 64):
+        maps = rng.random((2, depth, h, w), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            energy = node_energies(maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - energy.nbytes)
+    assert max(extra) <= bound, (extra, bound)
+    assert abs(extra[1] - extra[0]) <= 1 << 12, extra
 
 
 @st.composite

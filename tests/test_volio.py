@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from voxwalk.network import NetworkSpec, RandomConnectionNet, save_checkpoint
 from voxwalk.volio import (
     SYNTH_MIDPOINT,
     read_volume,
@@ -25,6 +28,23 @@ def test_roundtrip_is_bit_identical(tmp_path):
     assert meta["dims"] == [4, 5, 6]
     write_volume(tmp_path / "again.raw", back, "intensity")
     assert (tmp_path / "vol.raw").read_bytes() == (tmp_path / "again.raw").read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+def test_written_files_get_mode_0666_less_the_umask(tmp_path, umask):
+    """A volume, its sidecar and a checkpoint are created as open() creates
+    a file, with mode 0o666 less the umask, and no temp file is left."""
+    old = os.umask(umask)
+    try:
+        write_volume(tmp_path / "v.raw", np.zeros((2, 2, 2)), "intensity")
+        save_checkpoint(tmp_path / "net.ckpt",
+                        RandomConnectionNet(NetworkSpec("conv3d", 1, (2, 3))))
+    finally:
+        os.umask(old)
+    names = ["net.ckpt", "v.raw", "v.raw.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask, name
 
 
 def test_read_returns_the_payload_as_writable_native_float32(tmp_path):

@@ -320,11 +320,11 @@ def upsample(x, factor):
             f"factor {factor} must have one entry per tensor axis ({x.ndim})")
     if any(f < 1 for f in factor):
         raise ValueError(f"factors must be >= 1, got {factor}")
-    y = x
-    for ax, f in enumerate(factor):
-        if f > 1:
-            y = np.repeat(y, f, axis=ax)
-    return y.copy() if y is x else y
+    y = np.empty(tuple(s * f for s, f in zip(x.shape, factor)), dtype=x.dtype)
+    # one strided copy of x per offset within the replication block
+    for view in _window_views(y, factor):
+        view[...] = x
+    return y
 
 
 def upsample_backward(grad, factor):

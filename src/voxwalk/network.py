@@ -11,11 +11,14 @@ as its level.  gate_i is a Bernoulli(alpha) draw per training iteration
 (so 2^depth computation graphs are sampled) or the constant alpha in
 expectation mode at inference.
 
-The forward returns caches that the backward uses up: each level pops its
-decoder and projection caches as it uses them, so they are freed before
-the level below runs, and a ConvLSTM unit's backward overwrites its cached
-gates with their gradients.  A second backward on the same caches raises
-ValueError.
+The caches live on one stack.  The forward pushes each layer's cache as
+the layer returns, and the backward, which visits the layers in exactly
+the reverse order, pops each one as it uses it: a level's decoder and
+projection caches are freed before the level below runs, and a ConvLSTM
+unit's backward overwrites its cached gates with their gradients.  A
+second backward on the same stack raises ValueError.  Inference pushes
+onto a sink that keeps nothing, so each cache is freed as soon as its
+layer returns.
 
 The ConvLSTM variant treats the first volume axis as time and pools only
 the two spatial axes, so the recurrence length is preserved; the 3D
@@ -25,6 +28,7 @@ convolution variant pools all three axes.
 import json
 import numbers
 import struct
+from collections import deque
 
 import numpy as np
 from dataclasses import dataclass, asdict
@@ -149,11 +153,9 @@ class Conv3DLayer:
 
     def forward(self, x):
         y, xp, pads = conv3d_forward(x, self.weights, self.bias, padding="same")
-        if self.relu:
-            mask = y > 0
-            y = y * mask
-        else:
-            mask = None
+        mask = y > 0 if self.relu else None
+        if mask is not None:
+            y *= mask
         return y, (xp, pads, mask)
 
     def backward(self, dy, cache):
@@ -306,6 +308,12 @@ class ConvLSTMUnit:
         return dx, {"wx": dwx[:, :, 0], "wh": dwh, "b": db}
 
 
+def _push(caches, out_cache):
+    """Push a layer's cache onto caches and return the layer's output."""
+    caches.append(out_cache[1])
+    return out_cache[0]
+
+
 class RandomConnectionNet:
     """Network object: spec plus parameters plus the forward/backward rules.
 
@@ -388,40 +396,40 @@ class RandomConnectionNet:
             raise ValueError("mask must be boolean; pass mask=None for expectation mode")
         return mask.astype(self.dtype)
 
-    def _forward_level(self, i, x, gates):
-        """Level i on input x.  Returns (out, cache), the cache being [uc] at
-        the bridge and [uc, pc, sub, upc, dc] above it, sub being level
-        i+1's; no cache holds the encoder output, so the merge overwrites it."""
-        skip, uc = self.encoders[i].forward(x)
+    def _forward_level(self, i, x, gates, caches):
+        """Level i on input x.  Pushes each layer's cache onto caches as the
+        layer returns (encoder, pool, level i+1's, projection, decoder) and
+        returns the level's output; no cache holds the encoder output, so the
+        merge overwrites it."""
+        skip = _push(caches, self.encoders[i].forward(x))
         if i == self.spec.depth:
-            return skip, [uc]
-        pooled, pc = pool3d_forward(skip, self.pool_window)
-        below, sub = self._forward_level(i + 1, pooled, gates)
-        up, upc = self.upconvs[i].forward(below)
+            return skip
+        pooled = _push(caches, pool3d_forward(skip, self.pool_window))
+        # no name holds the level below's output, so it is freed once projected
+        up = _push(caches, self.upconvs[i].forward(
+            self._forward_level(i + 1, pooled, gates, caches)))
         skip *= gates[i]
         skip += upsample(up, self.pool_window)
-        out, dc = self.decoders[i].forward(skip)
-        return out, [uc, pc, sub, upc, dc]
+        return _push(caches, self.decoders[i].forward(skip))
 
-    def _backward_level(self, i, dout, cache, gates, grads):
-        """Backward of :meth:`_forward_level`: stores each of the level's
-        gradient dicts in grads under its layer and returns the input's
-        gradient.  Pops each entry off the cache as it is used, so the
-        decoder and projection caches are freed before the level below runs."""
+    def _backward_level(self, i, dout, caches, gates, grads):
+        """Backward of :meth:`_forward_level`: pops the level's caches in
+        reverse, stores each of its gradient dicts in grads under its layer
+        and returns the input's gradient.  The decoder and projection caches
+        are freed before the level below runs."""
         if i < self.spec.depth:
-            dmerge, grads[self.decoders[i]] = self.decoders[i].backward(dout, cache.pop())
+            dmerge, grads[self.decoders[i]] = self.decoders[i].backward(dout, caches.pop())
             dbelow, grads[self.upconvs[i]] = self.upconvs[i].backward(
-                upsample_backward(dmerge, self.pool_window), cache.pop())
-            dpooled = self._backward_level(i + 1, dbelow, cache.pop(), gates, grads)
-            dout = pool3d_backward(dpooled, cache.pop()) + gates[i] * dmerge
-        dx, grads[self.encoders[i]] = self.encoders[i].backward(dout, cache.pop())
+                upsample_backward(dmerge, self.pool_window), caches.pop())
+            dpooled = self._backward_level(i + 1, dbelow, caches, gates, grads)
+            dout = pool3d_backward(dpooled, caches.pop()) + gates[i] * dmerge
+        dx, grads[self.encoders[i]] = self.encoders[i].backward(dout, caches.pop())
         return dx
 
-    def _forward_full(self, volume, gates):
+    def _forward_full(self, volume, gates, caches):
+        """The logits of volume; pushes every layer's cache onto caches."""
         x = self._check_volume(volume)[None]
-        y, lc = self._forward_level(0, x, gates)
-        z, hc = self.head.forward(y)
-        return z, [lc, hc]
+        return _push(caches, self.head.forward(self._forward_level(0, x, gates, caches)))
 
     def _backward_full(self, dz, caches, gates):
         """Backward of :meth:`_forward_full`; uses up its caches."""
@@ -429,7 +437,7 @@ class RandomConnectionNet:
             raise ValueError("network cache is used up: backward runs once per forward")
         grads = {}
         dy, grads[self.head] = self.head.backward(dz, caches.pop())
-        self._backward_level(0, dy, caches.pop(), gates, grads)
+        self._backward_level(0, dy, caches, gates, grads)
         # in _layers order, the order in which _bind lays out params
         return np.concatenate([grads[layer][key] for layer in self._layers
                                for key in layer.keys], axis=None)
@@ -440,8 +448,8 @@ class RandomConnectionNet:
         mask: boolean gate per skip connection; None runs expectation mode
         (each skip scaled by alpha).
         """
-        gates = self._gates(mask)
-        z, _ = self._forward_full(volume, gates)
+        # a sink that keeps nothing, so each cache is freed as its layer returns
+        z = self._forward_full(volume, self._gates(mask), deque(maxlen=0))
         return sigmoid(z[0])
 
     def loss_and_grads(self, volume, label, mask=None):
@@ -451,7 +459,8 @@ class RandomConnectionNet:
         element order of :attr:`params`.
         """
         gates = self._gates(mask)
-        z, caches = self._forward_full(volume, gates)
+        caches = []
+        z = self._forward_full(volume, gates, caches)
         y = np.asarray(label, dtype=self.dtype)[None]
         if y.shape != z.shape:
             raise ValueError(f"label shape {np.shape(label)} does not match volume")
@@ -542,7 +551,8 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint {path} header is not UTF-8 JSON ({exc})") from None
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a network checkpoint")
-    if header.get("version") != 1:
+    # the JSON integer 1: true and 1.0 compare equal to it
+    if header.get("version") != 1 or type(header["version"]) is not int:
         raise ValueError(
             f"checkpoint {path} has version {header.get('version')!r}; only 1 is supported")
     if not isinstance(header.get("spec"), dict):

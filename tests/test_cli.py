@@ -207,6 +207,9 @@ SPEC = {"unit_type": "conv3d", "depth": 1, "widths": [2, 3]}
     ({"format": "rcnet-checkpoint", "version": 1, "spec": dict(SPEC, depth=True)}, "depth"),
     ({"format": "rcnet-checkpoint", "version": 1, "spec": dict(SPEC, rng_seed=-1)},
      "rng_seed"),
+    # true and 1.0 compare equal to 1, but only the JSON integer 1 loads
+    ({"format": "rcnet-checkpoint", "version": True, "spec": SPEC}, "version True"),
+    ({"format": "rcnet-checkpoint", "version": 1.0, "spec": SPEC}, "version 1.0"),
 ])
 def test_infer_rejects_malformed_checkpoint(tmp_path, header, words):
     ckpt, volume = tmp_path / "net.ckpt", tmp_path / "v.raw"

@@ -368,6 +368,13 @@ def test_depth2_checkpoint_bytes_are_pinned(tmp_path, unit_type, digest):
                               unit_type, 2, (2, 3, 4), 22) == digest
 
 
+def depth2_net_and_volume(unit_type):
+    """A seeded depth-2 net (widths 4,8,16) and a 16x32x32 volume (16,384
+    voxels), where the level-0 convolutions span several slabs."""
+    net = RandomConnectionNet(NetworkSpec(unit_type, 2, (4, 8, 16), rng_seed=5))
+    return net, np.random.default_rng(5).normal(0.5, 0.25, (16, 32, 32))
+
+
 def multi_slab_gradient_digest(unit_type):
     """(most slabs in one conv call, sha256 of the float32 gradient of one
     loss_and_grads at 16x32x32)."""
@@ -382,9 +389,7 @@ def multi_slab_gradient_digest(unit_type):
 
     convops._slabs = count
     try:
-        net = RandomConnectionNet(NetworkSpec(unit_type, 2, (4, 8, 16), rng_seed=5))
-        rng = np.random.default_rng(5)
-        vol = rng.normal(0.5, 0.25, (16, 32, 32))
+        net, vol = depth2_net_and_volume(unit_type)
         _, grad = net.loss_and_grads(vol, (vol > 0.5).astype(np.float64),
                                      mask=np.array([True, False]))
     finally:
@@ -408,19 +413,37 @@ def test_multi_slab_gradient_bytes_are_pinned(unit_type, digest):
     assert got == digest
 
 
-def training_step_peak(unit_type):
-    """tracemalloc peak in bytes of one loss_and_grads at 16x32x32 (16,384
-    voxels, depth 2, widths 4,8,16) with every skip open."""
-    net = RandomConnectionNet(NetworkSpec(unit_type, 2, (4, 8, 16), rng_seed=5))
-    rng = np.random.default_rng(5)
-    vol = rng.normal(0.5, 0.25, (16, 32, 32))
-    label = (vol > 0.5).astype(np.float64)
+def infer_digest(unit_type):
+    """sha256 of the float32 output of infer on depth2_net_and_volume."""
+    return hashlib.sha256(infer(*depth2_net_and_volume(unit_type)).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("unit_type, digest", [
+    ("conv3d", "6ccfb1694312adc7e0c8841221842397a7e1908bdb79548acbb080028a9f7698"),
+    ("convlstm", "887cefd1edbd921105099f20a1a661cae3e67c357b28da9a6dcbff3a01ee1b7f"),
+], ids=["conv3d", "convlstm"])
+def test_infer_bytes_are_pinned(unit_type, digest):
+    # Pins the output of the inference forward, which pushes its caches onto
+    # a sink that keeps nothing, where the level-0 convolutions span several
+    # slabs; the training pins above never run that sink.
+    assert in_one_blas_thread(infer_digest, unit_type) == digest
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak in bytes of fn(*args)."""
     tracemalloc.start()
     try:
-        net.loss_and_grads(vol, label, mask=np.ones(2, dtype=bool))
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def training_step_peak(unit_type):
+    """Peak of one loss_and_grads on depth2_net_and_volume with every skip open."""
+    net, vol = depth2_net_and_volume(unit_type)
+    label = (vol > 0.5).astype(np.float64)
+    return traced_peak(net.loss_and_grads, vol, label, np.ones(2, dtype=bool))
 
 
 def test_convlstm_training_step_peak_memory_is_bounded():
@@ -440,13 +463,28 @@ def test_conv3d_training_step_peak_memory_is_bounded():
     assert training_step_peak("conv3d") <= 4.2 * (1 << 20)
 
 
+def test_convlstm_infer_peak_memory_is_bounded():
+    """ConvLSTM inference peaks at ~3.59 MiB (~230 B per voxel) when each
+    layer's cache is freed as the layer returns; keeping the training
+    caches until the forward ends peaks at ~7.00 MiB and fails."""
+    assert traced_peak(infer, *depth2_net_and_volume("convlstm")) <= 4.2 * (1 << 20)
+
+
+def test_conv3d_infer_peak_memory_is_bounded():
+    """conv3d inference peaks at ~2.79 MiB (~179 B per voxel) when each
+    layer's cache is freed as the layer returns; keeping the training
+    caches until the forward ends peaks at ~3.23 MiB and fails."""
+    assert traced_peak(infer, *depth2_net_and_volume("conv3d")) <= 3.0 * (1 << 20)
+
+
 @pytest.mark.parametrize("make, dims", [(small_conv_net, (4, 4, 4)),
                                         (small_lstm_net, (3, 4, 4))])
 def test_backward_uses_up_the_caches(make, dims):
     net = make(seed=20)
     vol = np.random.default_rng(20).normal(0.5, 0.3, dims)
     gates = net._gates(np.array([True]))
-    z, caches = net._forward_full(vol, gates)
+    caches = []
+    z = net._forward_full(vol, gates, caches)
     net._backward_full(np.ones_like(z), caches, gates)
     with pytest.raises(ValueError, match="cache is used up"):
         net._backward_full(np.ones_like(z), caches, gates)
@@ -515,20 +553,15 @@ def test_infer_modes():
 def stability_signature(net, vol, mask=None):
     """ReLU masks and pool argmax routes of a conv3d net; equal signatures on
     both sides of a perturbation mean no kink was crossed."""
-    gates = net._gates(mask)
-    _, (level, _) = net._forward_full(vol, gates)
-    masks, routes = [], []
-    # walk the level caches from the top down to the bridge
-    while True:
-        masks.append(level[0][2])
-        if len(level) == 1:
-            break
-        _, pc, level, upc, dc = level
-        routes.append(pc[-1])
-        masks.append(dc[2])
-        assert upc[2] is None  # the projections apply no ReLU
-    # a ReLU in every encoder and decoder, and one route per pool
+    caches = []
+    net._forward_full(vol, net._gates(mask), caches)
+    # a conv cache is (xp, pads, ReLU mask), a pool cache (window, argmax)
+    masks = [c[2] for c in caches if len(c) == 3 and c[2] is not None]
+    routes = [c[1] for c in caches if len(c) == 2]
+    # a ReLU in every encoder and decoder, none in the projections and the
+    # head, and one route per pool
     assert len(masks) == 2 * net.spec.depth + 1 and len(routes) == net.spec.depth
+    assert len(caches) == len(masks) + len(routes) + net.spec.depth + 1
     assert all(m.dtype == np.bool_ for m in masks)
     return [a.copy() for a in masks + routes]
 

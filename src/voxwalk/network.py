@@ -410,6 +410,8 @@ class RandomConnectionNet:
             self._forward_level(i + 1, pooled, gates, caches)))
         skip *= gates[i]
         skip += upsample(up, self.pool_window)
+        # at inference no cache holds these, so the decoder runs without them
+        del pooled, up
         return _push(caches, self.decoders[i].forward(skip))
 
     def _backward_level(self, i, dout, caches, gates, grads):

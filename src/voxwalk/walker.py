@@ -9,8 +9,12 @@ their hard labels.  Stationarity yields a symmetric M-matrix system solved
 with Jacobi-preconditioned conjugate gradient.  No matrix is assembled: the
 solver applies the system to a vector straight from the edge list.  The
 selection arrives as one int8 state per voxel (-1 for a candidate, else the
-hard label); it gives the confident neighbors' labels, and the fused output
-is that state with the walker's values written over the candidates.
+hard label).  The graph is built from one int32 lookup of the lattice padded
+by a voxel on every face, made from that state: each entry holds a
+candidate's position, a confident voxel's label (as -1-label) or a pad
+marker, so one gather per lattice direction finds every candidate's
+neighbor edges, Dirichlet terms and volume faces.  The fused output is the
+state with the walker's values written over the candidates.
 
 The volumes stay in their own dtype (float32 as read from disk); only the
 candidate-sized arrays are float64: the gathered probabilities and
@@ -126,6 +130,9 @@ def _intensity_gather(volume):
     return gather
 
 
+_OUTSIDE = np.iinfo(np.int32).min   # lattice-lookup entry past the volume's faces
+
+
 def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     """Build the compact graph for a selection over K probability maps.
 
@@ -133,13 +140,19 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     min-max normalized to [0,1].  include_dirichlet=False drops the
     candidate-to-confident boundary terms (ablation switch).
 
-    Past one lattice lookup, an int32 candidate position per voxel, the
-    cost scales with the candidates: per axis, each candidate looks one
-    step up and one step down the lattice.  A candidate pair is taken
-    once, from its lower voxel; a confident neighbor on either side gives a
-    Dirichlet term, with the label the selection's state holds for it.
-    Only the gathered probabilities and intensities are widened to
-    float64, and only the gathered probabilities are checked.
+    The lattice is read through one int32 lookup, padded by one voxel on
+    every face, whose entry is a candidate's position, -1-label for a
+    confident voxel, or _OUTSIDE on the pad (and, without Dirichlet terms,
+    on a confident voxel).  Past it the cost scales with the candidates:
+    per axis, each candidate gathers the entries one stride up and one
+    stride down from its padded index, and that one gather gives the
+    candidate edge, the Dirichlet term with its label, or nothing, with no
+    bounds test.  A candidate pair is taken once, from its lower voxel.
+    The candidates' intensities are normalized once, a confident
+    neighbor's only where it gives a Dirichlet term, and the priors are
+    summed one map at a time.  Only the gathered probabilities and
+    intensities are widened to float64, and only the gathered
+    probabilities are checked.
     """
     p = as_prob_stack(maps)
     dims = tuple(p.shape[1:])
@@ -149,43 +162,57 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
     if intensity.shape != dims:
         raise ValueError(f"intensity dims {intensity.shape} != map dims {dims}")
     gather = _intensity_gather(intensity)
-    cand = selection.candidate_idx
-    q = p.reshape(p.shape[0], -1)[:, cand].astype(np.float64)
-    check_probs(q)
     n_vox = int(np.prod(dims))
     if n_vox >= 2 ** 31:
         raise ValueError(f"assemble takes at most 2**31 - 1 voxels, got {n_vox}")
-    pos = np.full(n_vox, -1, dtype=np.int32)
-    pos[cand] = np.arange(len(cand), dtype=np.int32)
+    cand = selection.candidate_idx
+    # one map at a time, in the order a sum over the map axis adds them
+    prior_fg, prior_bg = np.zeros(len(cand)), np.zeros(len(cand))
+    for pk in p:
+        q = pk.reshape(-1)[cand].astype(np.float64)
+        check_probs(q)
+        prior_fg += q ** 2
+        prior_bg += np.subtract(1.0, q, out=q) ** 2
+    del q
 
-    edge_i, edge_j, edge_w = [], [], []
-    dir_i, dir_l, dir_w = [], [], []
-    # a is a candidate and b its neighbor one step along the axis
-    for ax, coord in enumerate(np.unravel_index(cand, dims)):
-        stride = int(np.prod(dims[ax + 1:]))
-        for step, inside in ((stride, coord < dims[ax] - 1), (-stride, coord > 0)):
-            a = cand[inside]
-            b = a + step
-            pb = pos[b]
-            both = pb >= 0
-            if step > 0:
-                edge_i.append(pos[a[both]])
-                edge_j.append(pb[both])
-                edge_w.append(edge_weight(gather(a[both]), gather(b[both]), beta))
-            confident = np.logical_and(~both, include_dirichlet)
-            a, b = a[confident], b[confident]
-            dir_i.append(pos[a])
-            dir_l.append(selection.state[b])
-            dir_w.append(edge_weight(gather(a), gather(b), beta))
+    lut = np.empty(np.add(dims, 2), dtype=np.int32)
+    lut[[0, -1]] = lut[:, [0, -1]] = lut[:, :, [0, -1]] = _OUTSIDE   # the pad's six faces
+    inner = lut[1:-1, 1:-1, 1:-1]
+    np.subtract(-1, selection.state.reshape(dims), out=inner)   # 0 on a candidate
+    if not include_dirichlet:
+        inner[inner < 0] = _OUTSIDE
+    lut = lut.reshape(-1)
+    # a candidate's padded index: each row before it adds 2 pad voxels, each
+    # plane 2 pad rows, and the pad plane, row and voxel before the first
+    _, h, w = dims
+    pad_idx = cand + 2 * (cand // w)
+    pad_idx += (2 * w + 4) * (cand // (h * w)) + (h + 3) * (w + 2) + 1
+    lut[pad_idx] = np.arange(len(cand), dtype=np.int32)
+    ic = gather(cand)
 
-    edges = np.stack([np.concatenate(edge_i), np.concatenate(edge_j)], axis=1)
+    # the hits of each mask are taken as positions once: a position is the
+    # candidate's, and indexing by positions is far cheaper than by a mask
+    edges, edge_w, dir_i, dir_l, dir_w = [], [], [], [], []
+    for step, pad_step in ((h * w, (h + 2) * (w + 2)), (w, w + 2), (1, 1)):
+        for sign in (1, -1):
+            nb = lut[pad_idx + sign * pad_step]
+            if sign > 0:
+                i = np.flatnonzero(nb >= 0)
+                j = nb[i]
+                edges.append(np.stack([i.astype(np.int32), j], axis=1))
+                edge_w.append(edge_weight(ic[i], ic[j], beta))
+            i = np.flatnonzero((nb < 0) & (nb != _OUTSIDE))
+            dir_i.append(i.astype(np.int32))
+            dir_l.append((-1 - nb[i]).astype(np.uint8))
+            dir_w.append(edge_weight(ic[i], gather(cand[i] + sign * step), beta))
+    del lut, inner, pad_idx, ic, nb, i, j
     return CompactGraph(
-        edges=edges,
+        edges=np.concatenate(edges),
         edge_weights=np.concatenate(edge_w),
-        prior_fg=(q ** 2).sum(axis=0),
-        prior_bg=((1.0 - q) ** 2).sum(axis=0),
+        prior_fg=prior_fg,
+        prior_bg=prior_bg,
         dirichlet_idx=np.concatenate(dir_i),
-        dirichlet_labels=np.concatenate(dir_l).astype(np.uint8),
+        dirichlet_labels=np.concatenate(dir_l),
         dirichlet_weights=np.concatenate(dir_w),
     )
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -549,26 +550,43 @@ def test_refine_obeys_the_maximum_principle_and_the_selection(
     assert np.array_equal(labels[cand], x[cand] >= 0.5)
 
 
+def graph_digest(graph):
+    """sha256 of a graph's seven arrays, in their field order.  Only bytes
+    are hashed, not dtypes: an empty array hashes the same in any dtype."""
+    got = hashlib.sha256()
+    for name in ("edges", "edge_weights", "prior_fg", "prior_bg", "dirichlet_idx",
+                 "dirichlet_labels", "dirichlet_weights"):
+        got.update(getattr(graph, name).tobytes())
+    return got.hexdigest()
+
+
+def refine_digest(out):
+    """sha256 of refine's labels, x and five counters."""
+    got = hashlib.sha256(out.labels.tobytes() + out.x.tobytes())
+    got.update(repr((out.candidates, out.edges, out.dirichlet, out.iterations,
+                     float(out.residual).hex())).encode())
+    return got.hexdigest()
+
+
+def seeded_scene(seed, dims):
+    """Three float32 maps and an intensity volume of uniform noise."""
+    rng = np.random.default_rng(seed)
+    maps = rng.random((3,) + dims, dtype=np.float32)
+    return maps, rng.random(dims, dtype=np.float32)
+
+
 @pytest.mark.parametrize("include_dirichlet, digest", [
     (True, "1cfa171a910cef8ff838220b7936788f90de401b1812eac9d6dc243a6dad1a41"),
     (False, "556033d55fac7334462fa1fc505f125d4b55c749aeca79dc55a5d3ab85872df4"),
 ], ids=["dirichlet", "no-dirichlet"])
 def test_assemble_output_bytes_are_pinned(include_dirichlet, digest):
-    # Pins the bytes of assemble's seven arrays, in their field order, on the
-    # seeded 16³ scene of test_refine_output_bytes_are_pinned, so a change to
-    # the order of edges or Dirichlet terms, or to one weight bit, shows.
-    # Only bytes are hashed, not dtypes: an empty array hashes the same in
-    # any dtype.
-    rng = np.random.default_rng(13)
-    maps = rng.random((3, 16, 16, 16), dtype=np.float32)
-    intensity = rng.random((16, 16, 16), dtype=np.float32)
+    # Pins the bytes of assemble's seven arrays on the seeded 16³ scene of
+    # test_refine_output_bytes_are_pinned, so a change to the order of edges
+    # or Dirichlet terms, or to one weight bit, shows.
+    maps, intensity = seeded_scene(13, (16, 16, 16))
     graph = assemble(select(maps, 0.5), maps, intensity, 100.0,
                      include_dirichlet=include_dirichlet)
-    got = hashlib.sha256()
-    for name in ("edges", "edge_weights", "prior_fg", "prior_bg", "dirichlet_idx",
-                 "dirichlet_labels", "dirichlet_weights"):
-        got.update(getattr(graph, name).tobytes())
-    assert got.hexdigest() == digest
+    assert graph_digest(graph) == digest
 
 
 @pytest.mark.parametrize("include_dirichlet, digest", [
@@ -580,12 +598,46 @@ def test_refine_output_bytes_are_pinned(include_dirichlet, digest):
     # scene of three float32 maps at theta 0.5 (2,048 candidates, 14 PCG
     # iterations), so any change to selection, assembly or the solve that
     # moves one output bit shows.
-    rng = np.random.default_rng(13)
-    maps = rng.random((3, 16, 16, 16), dtype=np.float32)
-    intensity = rng.random((16, 16, 16), dtype=np.float32)
+    maps, intensity = seeded_scene(13, (16, 16, 16))
     out = refine(maps, intensity, 0.5, beta=100.0, include_dirichlet=include_dirichlet)
     assert out.x.dtype == np.float32
-    got = hashlib.sha256(out.labels.tobytes() + out.x.tobytes())
-    got.update(repr((out.candidates, out.edges, out.dirichlet, out.iterations,
-                     float(out.residual).hex())).encode())
-    assert got.hexdigest() == digest
+    assert refine_digest(out) == digest
+
+
+@pytest.mark.parametrize("include_dirichlet, assemble_sha, refine_sha", [
+    (True, "a5fabf777fcd4d8f1176309f6ee349947bd51d0e880849305fc047c9fca85203",
+     "401f0c72516f62fa92fc5af297f7e8d0083f9c07a422e5da8e577b30cbf04f92"),
+    (False, "dd2560457cff828cbe4ae0264839d1d410dc0e366ac61813dbf1478896974d81",
+     "feb62e0add31d038deb595a3765d8feca075f2e5e6a6bba5bbcfda8f19d7a1c7"),
+], ids=["dirichlet", "no-dirichlet"])
+def test_output_bytes_are_pinned_on_a_non_cubic_lattice(
+        include_dirichlet, assemble_sha, refine_sha):
+    # The 16³ pins above cannot see a stride of one axis used for another:
+    # on this 10x13x17 scene at theta 0.5 (1,105 candidates, 1,802 edges,
+    # 2,095 Dirichlet terms, 13 PCG iterations) every axis has its own
+    # stride, padded or not.
+    maps, intensity = seeded_scene(29, (10, 13, 17))
+    graph = assemble(select(maps, 0.5), maps, intensity, 100.0,
+                     include_dirichlet=include_dirichlet)
+    assert graph_digest(graph) == assemble_sha
+    out = refine(maps, intensity, 0.5, beta=100.0, include_dirichlet=include_dirichlet)
+    assert refine_digest(out) == refine_sha
+
+
+def test_assemble_peak_memory_is_bounded():
+    """On a 24x32x40 scene at theta 0.5 (15,360 candidates, 25,512 edges,
+    35,370 Dirichlet terms, a 1.06 MiB graph) assemble peaks at ~1.91 MiB
+    (~131 B per candidate) when it reads the lattice through one padded
+    lookup and frees its temporaries as it goes.  Per-direction bounds
+    masks and a per-voxel position array peaked at ~2.92 MiB (~199 B), and
+    keeping three int64 coordinates per candidate alive through the
+    gathers peaks at ~2.11 MiB; both fail the bound."""
+    maps, intensity = seeded_scene(31, (24, 32, 40))
+    sel = select(maps, 0.5)
+    tracemalloc.start()
+    try:
+        assemble(sel, maps, intensity, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * (1 << 20)

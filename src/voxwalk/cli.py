@@ -92,6 +92,7 @@ def _cmd_refine(args):
     result = walker.refine(
         maps, intensity, args.theta, args.beta, tol=args.tol,
         include_dirichlet=not args.no_dirichlet)
+    del maps, intensity  # the writes below need only the result
     volio.write_volume(args.out, result.labels, "label")
     if args.out_x:
         volio.write_volume(args.out_x, result.x, "prob")

@@ -12,14 +12,22 @@ candidate, the hard label 0 or 1 for a confident voxel.
 Selection computes in the dtype of its maps: float32 maps (as volumes are
 read) give float32 energies, and every other input is promoted to float64.
 The energies are computed one slab of depth planes at a time, on a few flat
-buffers allocated once per call and sized by the slab, so that the work
-stays in cache and the extra memory does not grow with the volume; each
-lattice axis is one contiguous shift of the flattened slab.  The
-probabilities are checked there as they are read: each voxel once per
-selection.
+buffers sized by the slab, so that the work stays in cache and the extra
+memory does not grow with the volume; each lattice axis is one contiguous
+shift of the flattened slab.  The slabs are split into contiguous runs, one
+per core the process may use (its CPU affinity) and at most one per slab,
+and each run is scored on its own thread with its own buffers: numpy
+releases the interpreter lock inside each step, so the runs overlap, and
+the extra memory is the workers' slab buffers.  The runs write disjoint
+planes, so the energies keep their bytes at any number of workers.  The
+probabilities are checked there as they are read: each plane once per run
+that reads it.  The mean-probability labels of `select` are taken slab by
+slab on the same runs.
 """
 
 import math
+import os
+import threading
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -103,12 +111,19 @@ def node_energies(maps):
     cosines that cross the slab border; the confidence, the in-plane
     cosines and the co-located term are computed for the slab's own planes.
 
+    The slabs are split into contiguous runs, one per usable core and at
+    most one per slab (see `_slab_runs`).  The calling thread scores the
+    first run and one thread each the others, each run on its own six slab
+    buffers, so the extra memory is the workers' buffers; the runs write
+    disjoint planes of the one output.  If probabilities are bad, the error
+    of the lowest slab is raised, as a single pass would raise it.
+
     Every voxel gets the same float operations in the same order as in one
     whole-volume pass that adds only the edges inside the volume: each term
     is >= +0 and the sum starts at +0, so adding a +0 edge leaves its bytes
-    unchanged, and the energies are byte-identical at any slab size.  Each
-    plane's probabilities are checked once, before the first slab that
-    reads them computes anything from them.
+    unchanged, and the energies are byte-identical at any slab size and any
+    number of workers.  Each plane's probabilities are checked by every run
+    that reads them, before that run computes anything from them.
 
     Lattice edges are truncated at the volume border (no phantom
     neighbors), so border energies are comparably smaller.
@@ -118,55 +133,60 @@ def node_energies(maps):
     plane = h * w
     energy = np.empty((depth, h, w), dtype=p.dtype)
     flat = energy.reshape(-1)
-    per = max(1, min(depth, _SLAB_VOXELS // max(1, plane)))
-    # u, v, cos and tmp hold a slab with its halo planes, the sums its own planes
-    u, v, cos, tmp = np.empty((4, (per + 2) * plane), dtype=p.dtype)
-    sums = np.empty((2, per * plane), dtype=p.dtype)
-    checked = 0  # planes below this one are checked
-    for z0 in range(0, depth, per):
-        z1 = min(depth, z0 + per)
-        a, b = max(0, z0 - 1), min(depth, z1 + 1)
-        n, m, o = (b - a) * plane, (z1 - z0) * plane, (z0 - a) * plane
-        e = flat[z0 * plane:z1 * plane]
-        su, sv = sums[:, :m]
-        for arr in (e, su, sv):
-            arr.fill(0)
-        for pk in p[:, a:b]:
-            check_probs(pk[checked - a:])
-            u3, v3, t3 = (buf[:n].reshape(b - a, h, w) for buf in (u, v, tmp))
-            np.subtract(1.0, pk, out=v3)
-            np.multiply(pk, pk, out=u3)
-            np.multiply(v3, v3, out=t3)
-            np.add(u3, t3, out=t3)
-            np.sqrt(t3, out=t3)
-            np.divide(pk, t3, out=u3)
-            np.divide(v3, t3, out=v3)
-            conf = cos[:m].reshape(z1 - z0, h, w)
-            np.multiply(2.0, pk[z0 - a:z1 - a], out=conf)
-            np.subtract(1.0, conf, out=conf)
-            np.square(conf, out=conf)
-            e += cos[:m]
-            # along each axis a voxel adds its edge to the next voxel, then
-            # its edge to the previous one; depth first, over the halo too,
-            c = _cosines(u[:n], v[:n], plane, cos, tmp)
-            e[:c.size - o] += c[o:]
-            e[plane - o:] += c[:o + m - plane]
-            # then H and W over the own planes, where the edges from a
-            # plane's last row (H) or a row's last voxel (W) lead out and are zeroed
-            uo, vo = u[o:o + m], v[o:o + m]
-            for s, rows in ((w, (z1 - z0, plane)), (1, ((z1 - z0) * h, w))):
-                c = _cosines(uo, vo, s, cos, tmp)
-                cos[:m].reshape(rows)[:, -s:] = 0
-                e[:c.size] += c
-                e[s:s + c.size] += c
-            su += uo
-            sv += vo
-        su *= su
-        sv *= sv
-        su += sv
-        su -= k
-        e += su
-        checked = b
+    per, runs = _slab_runs(depth, plane)
+    # per run: u, v, cos and tmp hold a slab with its halo planes, the sums its own planes
+    slabs = np.empty((len(runs), 4, (per + 2) * plane), dtype=p.dtype)
+    sums = np.empty((len(runs), 2, per * plane), dtype=p.dtype)
+
+    def score(i, start, stop):
+        u, v, cos, tmp = slabs[i]
+        checked = max(0, start - 1)  # planes below this one are checked
+        for z0 in range(start, stop, per):
+            z1 = min(depth, z0 + per)
+            a, b = max(0, z0 - 1), min(depth, z1 + 1)
+            n, m, o = (b - a) * plane, (z1 - z0) * plane, (z0 - a) * plane
+            e = flat[z0 * plane:z1 * plane]
+            su, sv = sums[i, :, :m]
+            for arr in (e, su, sv):
+                arr.fill(0)
+            for pk in p[:, a:b]:
+                check_probs(pk[checked - a:])
+                u3, v3, t3 = (buf[:n].reshape(b - a, h, w) for buf in (u, v, tmp))
+                np.subtract(1.0, pk, out=v3)
+                np.multiply(pk, pk, out=u3)
+                np.multiply(v3, v3, out=t3)
+                np.add(u3, t3, out=t3)
+                np.sqrt(t3, out=t3)
+                np.divide(pk, t3, out=u3)
+                np.divide(v3, t3, out=v3)
+                conf = cos[:m].reshape(z1 - z0, h, w)
+                np.multiply(2.0, pk[z0 - a:z1 - a], out=conf)
+                np.subtract(1.0, conf, out=conf)
+                np.square(conf, out=conf)
+                e += cos[:m]
+                # along each axis a voxel adds its edge to the next voxel, then
+                # its edge to the previous one; depth first, over the halo too,
+                c = _cosines(u[:n], v[:n], plane, cos, tmp)
+                e[:c.size - o] += c[o:]
+                e[plane - o:] += c[:o + m - plane]
+                # then H and W over the own planes, where the edges from a
+                # plane's last row (H) or a row's last voxel (W) lead out and are zeroed
+                uo, vo = u[o:o + m], v[o:o + m]
+                for s, rows in ((w, (z1 - z0, plane)), (1, ((z1 - z0) * h, w))):
+                    c = _cosines(uo, vo, s, cos, tmp)
+                    cos[:m].reshape(rows)[:, -s:] = 0
+                    e[:c.size] += c
+                    e[s:s + c.size] += c
+                su += uo
+                sv += vo
+            su *= su
+            sv *= sv
+            su += sv
+            su -= k
+            e += su
+            checked = b
+
+    _on_workers(runs, score)
     return energy
 
 
@@ -180,6 +200,60 @@ def _cosines(u, v, s, out, tmp):
     return np.add(c, t, out=c)
 
 
+def _worker_count():
+    """Cores this process may run on: its CPU affinity, or the machine's
+    core count where the platform cannot tell the affinity."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _slab_runs(depth, plane):
+    """Slab height and the workers' runs of a [.., depth, H, W] volume.
+
+    A slab is as many whole depth planes of `plane` voxels as fit in
+    `_SLAB_VOXELS`, at least one.  The slabs are split into contiguous runs
+    of as even a count as they allow, one per usable core and at most one
+    per slab (one empty run at depth 0).  Returns (planes per slab, [(start,
+    stop) plane range of each run, in depth order]).
+    """
+    per = max(1, min(depth, _SLAB_VOXELS // max(1, plane)))
+    n = -(-depth // per)
+    workers = max(1, min(_worker_count(), n))
+    ends = [min(depth, per * (n * i // workers)) for i in range(workers + 1)]
+    return per, list(zip(ends[:-1], ends[1:]))
+
+
+def _on_workers(runs, work):
+    """Call work(i, start, stop) for each run i: the calling thread takes the
+    first run and one thread each the others.  After all of them return,
+    the error of the lowest run that raised is raised.
+
+    `work` must not call anything the benchmark's span tracer wraps (such as
+    `node_energies`), as its span stack belongs to one thread.
+    """
+    errors = [None] * len(runs)
+
+    def run(i):
+        try:
+            work(i, *runs[i])
+        except Exception as exc:
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(runs))]
+    for t in threads:
+        t.start()
+    try:
+        work(0, *runs[0])
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def select(maps, theta):
     """Prune the floor(|V| * theta) highest-energy voxels as confident.
 
@@ -187,7 +261,8 @@ def select(maps, theta):
     floor(|V| * theta).  Voxels above the cut are confident; of the tie band
     exactly at the cut, the lowest voxel indices fill the count, so energy
     ties break by ascending voxel index.  Confident voxels get hard labels
-    by thresholding the across-network mean probability at 0.5.
+    by thresholding the across-network mean probability at 0.5, taken slab
+    by slab on the runs of `node_energies`.
     Returns a :class:`SelectionResult`.
     """
     if not 0.0 <= theta <= 1.0:
@@ -198,6 +273,15 @@ def select(maps, theta):
     cut = np.partition(flat, flat.size - n_conf)[flat.size - n_conf] if n_conf else np.inf
     confident = flat > cut
     confident[np.flatnonzero(flat == cut)[:n_conf - np.count_nonzero(confident)]] = True
-    state = (p.mean(axis=0).reshape(-1) >= 0.5).view(np.int8)
-    state[~confident] = -1
+    labels = np.empty(p.shape[1:], dtype=bool)
+    per, runs = _slab_runs(p.shape[1], math.prod(p.shape[2:]))
+
+    def label(i, start, stop):
+        for z0 in range(start, stop, per):
+            z = slice(z0, z0 + per)
+            np.greater_equal(p[:, z].mean(axis=0), 0.5, out=labels[z])
+
+    _on_workers(runs, label)
+    state = labels.reshape(-1).view(np.int8)
+    state[np.flatnonzero(~confident)] = -1
     return SelectionResult(dims=p.shape[1:], state=state)

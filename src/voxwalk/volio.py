@@ -31,7 +31,8 @@ def sidecar_path(path):
 
 
 def _atomic_write(path, data):
-    """Write `data` to a temp file beside `path`, then rename it over `path`.
+    """Write `data` (bytes, or a C-contiguous array's own buffer) to a temp
+    file beside `path`, then rename it over `path`.
 
     The temp file is created with mode 0o666 less the umask, as `open()`
     creates a file (`mkstemp` would leave it owner-only), and exclusively,
@@ -75,14 +76,13 @@ def write_volume(path, data, kind):
     if data.ndim != 3:
         raise ValueError(f"expected a 3-D volume, got shape {data.shape}")
     _check_kind(data, kind, path)
-    payload = data.tobytes()
     meta = {
         "dims": [int(s) for s in data.shape],
         "dtype": "f32",
         "order": "row-major",
         "kind": kind,
     }
-    _atomic_write(path, payload)
+    _atomic_write(path, data)
     _atomic_write(sidecar_path(path), (json.dumps(meta) + "\n").encode("utf-8"))
 
 

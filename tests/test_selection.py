@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -249,26 +250,98 @@ def test_energy_bytes_are_pinned(monkeypatch, dtype, digest, planes):
     assert hashlib.sha256(energy.tobytes()).hexdigest() == digest
 
 
-def test_node_energies_memory_is_set_by_the_slab():
-    """Beyond its output, node_energies holds six flat slab buffers, four of
-    which also span the two halo planes; no temporary grows with the
-    volume, so its peak is the same at depth 16 and at depth 64."""
+def test_node_energies_memory_is_set_by_the_slab(monkeypatch):
+    """Beyond its output, node_energies holds six flat slab buffers per
+    worker, four of which also span the two halo planes; no temporary grows
+    with the volume, so at 1, 2 and 3 workers its peak is the same at depth
+    16 and at depth 64.  The buffers are allocated before the workers
+    start, so the peak does not hang on how their threads interleave."""
     rng = np.random.default_rng(44)
     h = w = 128
     itemsize = np.dtype(np.float32).itemsize
-    bound = itemsize * (6 * selection._SLAB_VOXELS + 8 * h * w) + (1 << 16)
-    extra = []
-    for depth in (16, 64):
-        maps = rng.random((2, depth, h, w), dtype=np.float32)
-        tracemalloc.start()
-        try:
-            energy = node_energies(maps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        extra.append(peak - energy.nbytes)
-    assert max(extra) <= bound, (extra, bound)
-    assert abs(extra[1] - extra[0]) <= 1 << 12, extra
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(selection, "_worker_count", lambda: workers)
+        bound = workers * itemsize * (6 * selection._SLAB_VOXELS + 8 * h * w) + (1 << 16)
+        extra = []
+        for depth in (16, 64):
+            maps = rng.random((2, depth, h, w), dtype=np.float32)
+            tracemalloc.start()
+            try:
+                energy = node_energies(maps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - energy.nbytes)
+        assert max(extra) <= bound, (workers, extra, bound)
+        assert abs(extra[1] - extra[0]) <= 1 << 12, (workers, extra)
+
+
+def test_slab_runs_split_the_slabs_evenly(monkeypatch):
+    """One contiguous run of whole slabs per worker, at most one per slab;
+    the short last slab ends the last run."""
+    monkeypatch.setattr(selection, "_SLAB_VOXELS", 2 * 12)
+    for workers, depth, want in [
+        (3, 7, (2, [(0, 2), (2, 4), (4, 7)])),
+        (2, 7, (2, [(0, 4), (4, 7)])),
+        (3, 4, (2, [(0, 2), (2, 4)])),
+        (3, 1, (1, [(0, 1)])),
+        (3, 0, (1, [(0, 0)])),
+        (1, 9, (2, [(0, 9)])),
+    ]:
+        monkeypatch.setattr(selection, "_worker_count", lambda: workers)
+        assert selection._slab_runs(depth, 12) == want, (workers, depth)
+
+
+@pytest.mark.parametrize("dims, planes", [
+    ((1, 5, 6), 1),    # depth 1: one slab, one worker at any count
+    ((2, 5, 6), 1),    # two slabs, fewer than three workers
+    ((7, 4, 5), 1),    # uneven runs of one-plane slabs
+    ((9, 4, 5), 2),    # uneven runs with a short last slab
+    ((6, 1, 5), 1),    # H = 1
+    ((6, 4, 1), 2),    # W = 1
+    ((5, 3, 4), 9),    # one slab holds the whole volume
+], ids=["depth-1", "2-slabs", "1-plane-slabs", "short-last-slab", "H=1", "W=1", "one-slab"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, dtype, dims, planes):
+    """Energies, selection state and refine's labels and x keep their bytes
+    at 1, 2 and 3 workers (more workers than this machine may have cores),
+    also for a transposed, non-contiguous view of the maps; a short thread
+    switch interval makes the workers interleave often."""
+    rng = np.random.default_rng(45)
+    maps = rng.random((3,) + dims).astype(dtype)
+    maps[:, ::3] = np.round(2 * maps[:, ::3]) / 2  # ties at the cut and at the 0.5 label
+    strided = np.ascontiguousarray(maps.transpose(0, 3, 2, 1)).transpose(0, 3, 2, 1)
+    intensity = rng.random(dims)
+    monkeypatch.setattr(selection, "_SLAB_VOXELS", planes * math.prod(dims[1:]))
+    interval = sys.getswitchinterval()
+    got = []
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(selection, "_worker_count", lambda: workers)
+            for stack in (maps, strided):
+                out = walker.refine(stack, intensity, 0.5, beta=100.0)
+                got.append((node_energies(stack).tobytes(), select(stack, 0.5).state.tobytes(),
+                            out.labels.tobytes(), out.x.tobytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g == got[0] for g in got)
+
+
+@pytest.mark.parametrize("bad_plane", [0, 3])
+def test_the_lowest_slab_error_is_raised_at_every_worker_count(monkeypatch, bad_plane):
+    """An out-of-range probability in an early slab and a NaN in a late one:
+    the early slab's error is raised, as in one pass over the slabs, also
+    when a later worker meets the NaN first."""
+    maps = np.full((2, 8, 3, 4), 0.5)
+    maps[1, bad_plane, 1, 2] = 1.5
+    maps[0, 7, 2, 0] = np.nan
+    monkeypatch.setattr(selection, "_SLAB_VOXELS", 12)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(selection, "_worker_count", lambda: workers)
+        for call in (lambda: node_energies(maps), lambda: select(maps, 0.5)):
+            with pytest.raises(ValueError, match=r"must lie in \[0,1\]"):
+                call()
 
 
 @st.composite

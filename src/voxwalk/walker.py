@@ -13,8 +13,12 @@ hard label).  The graph is built from one int32 lookup of the lattice padded
 by a voxel on every face, made from that state: each entry holds a
 candidate's position, a confident voxel's label (as -1-label) or a pad
 marker, so one gather per lattice direction finds every candidate's
-neighbor edges, Dirichlet terms and volume faces.  The fused output is the
-state with the walker's values written over the candidates.
+neighbor edges, Dirichlet terms and volume faces.  The graph stores its
+edges as the transpose of one contiguous intp [2,E] array, so the system
+reads the two rows of edge ends in place, and the conjugate gradient takes
+the system's right-hand side as its residual and holds four more vectors,
+updated in place.  The fused output is the state with the walker's values
+written over the candidates.
 
 The volumes stay in their own dtype (float32 as read from disk); only the
 candidate-sized arrays are float64: the gathered probabilities and
@@ -63,7 +67,8 @@ class CompactGraph:
     lattice weight.
     """
 
-    edges: np.ndarray               # [E,2] candidate positions
+    edges: np.ndarray               # [E,2] candidate positions; assemble's is an intp
+                                    # view, the transpose of contiguous [2,E] rows
     edge_weights: np.ndarray        # [E]
     prior_fg: np.ndarray            # [n] = Σₖ (p_i^k)²
     prior_bg: np.ndarray            # [n] = Σₖ (1 - p_i^k)²
@@ -74,6 +79,24 @@ class CompactGraph:
     def __post_init__(self):
         if self.prior_fg.ndim != 1 or self.prior_bg.shape != self.prior_fg.shape:
             raise ValueError("one (fg,bg) prior weight pair per candidate required")
+        # the system reads these indices in place, so they are checked here
+        n, edges, idx = len(self.prior_fg), self.edges, self.dirichlet_idx
+        if edges.ndim != 2 or edges.shape[1] != 2 or not np.issubdtype(edges.dtype, np.integer):
+            raise ValueError(f"edges must be an [E,2] integer array, got {edges.dtype} "
+                             f"of shape {edges.shape}")
+        if self.edge_weights.shape != (len(edges),):
+            raise ValueError(f"edge_weights must hold one weight per edge, got shape "
+                             f"{self.edge_weights.shape} for {len(edges)} edges")
+        shapes = [a.shape for a in (idx, self.dirichlet_labels, self.dirichlet_weights)]
+        if idx.ndim != 1 or len(set(shapes)) != 1 or not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError("dirichlet_idx (integer), dirichlet_labels and dirichlet_weights "
+                             f"must be 1-D of one length, got shapes {shapes}")
+        for name, a in (("edges", edges), ("dirichlet_idx", idx)):
+            if a.size and not (a.min() >= 0 and a.max() < n):
+                raise ValueError(f"{name} must index the {n} candidates, in [0, {n}), "
+                                 f"found [{a.min()}, {a.max()}]")
+        if not ((self.dirichlet_labels == 0) | (self.dirichlet_labels == 1)).all():
+            raise ValueError("dirichlet_labels must be 0 or 1")
         for w in (self.edge_weights, self.dirichlet_weights):
             # NaN propagates into min and max and fails both comparisons
             if len(w) and not (w.min() >= 0 and w.max() <= 1.0 + 1e-12):
@@ -192,36 +215,53 @@ def assemble(selection, maps, intensity, beta, include_dirichlet=True):
 
     # the hits of each mask are taken as positions once: a position is the
     # candidate's, and indexing by positions is far cheaper than by a mask
-    edges, edge_w, dir_i, dir_l, dir_w = [], [], [], [], []
+    edge_i, edge_j, edge_w, dir_i, dir_l, dir_w = [], [], [], [], [], []
     for step, pad_step in ((h * w, (h + 2) * (w + 2)), (w, w + 2), (1, 1)):
         for sign in (1, -1):
             nb = lut[pad_idx + sign * pad_step]
             if sign > 0:
                 i = np.flatnonzero(nb >= 0)
                 j = nb[i]
-                edges.append(np.stack([i.astype(np.int32), j], axis=1))
+                edge_i.append(i)
+                edge_j.append(j)
                 edge_w.append(edge_weight(ic[i], ic[j], beta))
             i = np.flatnonzero((nb < 0) & (nb != _OUTSIDE))
             dir_i.append(i.astype(np.int32))
             dir_l.append((-1 - nb[i]).astype(np.uint8))
             dir_w.append(edge_weight(ic[i], gather(cand[i] + sign * step), beta))
     del lut, inner, pad_idx, ic, nb, i, j
+    # one contiguous intp row per edge end, which build_system reads in place
+    edge_rows = np.empty((2, sum(map(len, edge_i))), dtype=np.intp)
+    _joined(edge_i, out=edge_rows[0])
+    _joined(edge_j, out=edge_rows[1])
     return CompactGraph(
-        edges=np.concatenate(edges),
-        edge_weights=np.concatenate(edge_w),
+        edges=edge_rows.T,
+        edge_weights=_joined(edge_w),
         prior_fg=prior_fg,
         prior_bg=prior_bg,
-        dirichlet_idx=np.concatenate(dir_i),
-        dirichlet_labels=np.concatenate(dir_l),
-        dirichlet_weights=np.concatenate(dir_w),
+        dirichlet_idx=_joined(dir_i),
+        dirichlet_labels=_joined(dir_l),
+        dirichlet_weights=_joined(dir_w),
     )
+
+
+def _joined(parts, out=None):
+    """Concatenate a list of arrays and empty the list, so that the parts
+    are freed before the next field is joined."""
+    whole = np.concatenate(parts, out=out)
+    parts.clear()
+    return whole
 
 
 def build_system(graph):
     """Stationarity system A x = b of the walker energy, A an M-matrix.
 
     No matrix is assembled.  Returns (apply, diag, rhs): apply(p) computes
-    A p from the edge list, diag is A's diagonal and rhs is b.
+    A p from the edge list into a fresh array, diag is A's diagonal and rhs
+    is b, a fresh array that the caller may overwrite.  The edge rows are
+    read in place: an assembled graph's edges are a transposed view of one
+    contiguous intp [2,E] array, so only edges of another layout or dtype
+    are copied.
 
     Two of the M-matrix properties hold by construction: A is symmetric,
     since each edge enters at (i,j) and at (j,i) with the same value, and
@@ -236,28 +276,46 @@ def build_system(graph):
     rhs = graph.prior_fg.copy()
     dw2 = graph.dirichlet_weights ** 2
     margin += np.bincount(graph.dirichlet_idx, dw2, minlength=n)
-    rhs += np.bincount(graph.dirichlet_idx, dw2 * graph.dirichlet_labels, minlength=n)
+    dw2 *= graph.dirichlet_labels
+    rhs += np.bincount(graph.dirichlet_idx, dw2, minlength=n)
     if not np.all(margin > 0):
         raise ValueError("walker system diagonal must strictly dominate its rows")
     # one contiguous intp row per edge end, so no call to apply converts them
     ei, ej = np.ascontiguousarray(graph.edges.T, dtype=np.intp)
     ew2 = graph.edge_weights ** 2
-    diag = margin + np.bincount(ei, ew2, minlength=n) + np.bincount(ej, ew2, minlength=n)
+    diag = margin
+    diag += np.bincount(ei, ew2, minlength=n)
+    diag += np.bincount(ej, ew2, minlength=n)
 
     def apply(p):
-        return diag * p - np.bincount(ei, ew2 * p[ej], n) - np.bincount(ej, ew2 * p[ei], n)
+        out = diag * p
+        for rows, cols in ((ei, ej), (ej, ei)):
+            g = p[cols]
+            g *= ew2   # the products in the gather's own buffer
+            out -= np.bincount(rows, g, n)
+            del g      # freed before the next gather
+        return out
 
     return apply, diag, rhs
 
 
-def _pcg(apply, b, diag, tol, max_iters):
+def _pcg(apply, r, diag, tol, max_iters):
     """Jacobi-preconditioned conjugate gradient from a zero start; apply(p)
-    gives the system's product with p."""
-    norm_b = np.linalg.norm(b)
-    x = np.zeros_like(b)
+    gives the system's product with p in a fresh array.
+
+    r is the right-hand side b, and the iteration overwrites it with the
+    residual.  Past r the iteration holds four vectors, x, p, z and the
+    product A p, and updates them in place: z takes the product's buffer
+    once the residual is updated, and its own buffer holds alpha p while
+    it is dead.  Each update does the IEEE operations of x += alpha p,
+    r -= alpha A p, z = r / diag and p = z + beta p written with
+    temporaries, so x, the iteration count and the residual are the same
+    bits.
+    """
+    norm_b = np.linalg.norm(r)
+    x = np.zeros_like(r)
     if norm_b == 0.0:
         return x, 0, 0.0
-    r = b.copy()
     z = r / diag
     p = z.copy()
     rz = float(r @ z)
@@ -268,12 +326,13 @@ def _pcg(apply, b, diag, tol, max_iters):
             raise SolverError(iterations, rel, tol)
         ap = apply(p)
         alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=z)
+        r -= np.multiply(alpha, ap, out=ap)
         rel = np.linalg.norm(r) / norm_b
-        z = r / diag
+        z = np.divide(r, diag, out=ap)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         iterations += 1
     return x, iterations, rel

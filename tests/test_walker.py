@@ -488,6 +488,56 @@ def test_graph_rejects_priors_not_one_per_candidate():
         graph_with(prior_bg=np.array([0.01]))
 
 
+# The system reads a graph's indices in place, so a malformed graph is
+# rejected where it is built, by a message that names the field, and not
+# deep in the solve by a numpy broadcast or index error.
+
+@pytest.mark.parametrize("edges", [
+    np.array([0, 1]), np.array([[0, 1, 1]]), np.array([[[0, 1]]]), np.array([[0.0, 1.0]]),
+], ids=["1-D", "three-ends", "3-D", "float"])
+def test_graph_rejects_edges_not_e_by_2_integers(edges):
+    with pytest.raises(ValueError, match=r"edges must be an \[E,2\] integer array"):
+        graph_with(edges=edges)
+
+
+@pytest.mark.parametrize("edges", [[[0, 2]], [[-1, 1]], [[7, 0]]])
+def test_graph_rejects_edges_outside_the_candidates(edges):
+    with pytest.raises(ValueError, match=r"edges must index the 2 candidates, in \[0, 2\)"):
+        graph_with(edges=np.array(edges))
+
+
+@pytest.mark.parametrize("weights", [np.array([0.5, 0.5]), np.zeros(0), np.array([[0.5]])])
+def test_graph_rejects_edge_weights_not_one_per_edge(weights):
+    with pytest.raises(ValueError, match="edge_weights must hold one weight per edge"):
+        graph_with(edge_weights=weights)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dirichlet_idx", np.array([1, 0])),
+    ("dirichlet_labels", np.array([1, 0], dtype=np.uint8)),
+    ("dirichlet_weights", np.zeros(0)),
+    ("dirichlet_idx", np.array([[1]])),
+    ("dirichlet_idx", np.array([1.0])),
+])
+def test_graph_rejects_dirichlet_arrays_of_unequal_lengths(field, value):
+    with pytest.raises(ValueError, match="dirichlet_idx .*, dirichlet_labels and "
+                                         "dirichlet_weights must be 1-D of one length"):
+        graph_with(**{field: value})
+
+
+@pytest.mark.parametrize("idx", [2, -1])
+def test_graph_rejects_dirichlet_indices_outside_the_candidates(idx):
+    with pytest.raises(ValueError, match=r"dirichlet_idx must index the 2 candidates, in \[0, 2\)"):
+        graph_with(dirichlet_idx=np.array([idx]))
+
+
+@pytest.mark.parametrize("label", [np.array([2], dtype=np.uint8), np.array([0.5]),
+                                   np.array([-1])])
+def test_graph_rejects_dirichlet_labels_other_than_0_or_1(label):
+    with pytest.raises(ValueError, match="dirichlet_labels must be 0 or 1"):
+        graph_with(dirichlet_labels=label)
+
+
 @st.composite
 def scenes(draw):
     """K = 1-3 probability maps and an intensity volume, all values in
@@ -552,9 +602,12 @@ def test_refine_obeys_the_maximum_principle_and_the_selection(
 
 def graph_digest(graph):
     """sha256 of a graph's seven arrays, in their field order.  Only bytes
-    are hashed, not dtypes: an empty array hashes the same in any dtype."""
-    got = hashlib.sha256()
-    for name in ("edges", "edge_weights", "prior_fg", "prior_bg", "dirichlet_idx",
+    are hashed, not dtypes: an empty array hashes the same in any dtype.
+    The edges are hashed as [E,2] int32, the bytes of the pins taken when
+    assemble stored them so; the intp edges must hold the same values."""
+    assert graph.edges.dtype == np.intp and graph.edges.T.flags.c_contiguous
+    got = hashlib.sha256(graph.edges.astype(np.int32).tobytes())
+    for name in ("edge_weights", "prior_fg", "prior_bg", "dirichlet_idx",
                  "dirichlet_labels", "dirichlet_weights"):
         got.update(getattr(graph, name).tobytes())
     return got.hexdigest()
@@ -626,12 +679,13 @@ def test_output_bytes_are_pinned_on_a_non_cubic_lattice(
 
 def test_assemble_peak_memory_is_bounded():
     """On a 24x32x40 scene at theta 0.5 (15,360 candidates, 25,512 edges,
-    35,370 Dirichlet terms, a 1.06 MiB graph) assemble peaks at ~1.91 MiB
-    (~131 B per candidate) when it reads the lattice through one padded
-    lookup and frees its temporaries as it goes.  Per-direction bounds
-    masks and a per-voxel position array peaked at ~2.92 MiB (~199 B), and
-    keeping three int64 coordinates per candidate alive through the
-    gathers peaks at ~2.11 MiB; both fail the bound."""
+    35,370 Dirichlet terms, a 1.25 MiB graph with intp edges) assemble
+    peaks at ~1.83 MiB (~125 B per candidate) when it reads the lattice
+    through one padded lookup, frees its temporaries as it goes and joins
+    the graph's fields one at a time.  Per-direction bounds masks and a
+    per-voxel position array peak at ~3.12 MiB (~213 B), and keeping three
+    int64 coordinates per candidate alive through the gathers peaks at
+    ~2.18 MiB; both fail the bound."""
     maps, intensity = seeded_scene(31, (24, 32, 40))
     sel = select(maps, 0.5)
     tracemalloc.start()
@@ -641,3 +695,69 @@ def test_assemble_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * (1 << 20)
+
+
+def seeded_graph():
+    """The graph of test_assemble_peak_memory_is_bounded's scene at theta 0.5."""
+    maps, intensity = seeded_scene(31, (24, 32, 40))
+    return assemble(select(maps, 0.5), maps, intensity, 100.0)
+
+
+def test_system_reads_the_assembled_edges_in_place():
+    """assemble stores the edges as the transpose of one contiguous intp
+    [2,E] array, so build_system's edge rows are views of the graph's
+    edges, not a copy; a hand-built int32 or int64 [E,2] array is
+    converted and gives the same system."""
+    graph = seeded_graph()
+    apply, _, _ = build_system(graph)
+    cells = [c.cell_contents for c in apply.__closure__]
+    rows = [c for c in cells if isinstance(c, np.ndarray) and np.shares_memory(c, graph.edges)]
+    assert len(rows) == 2
+    small = random_graph(np.random.default_rng(44))
+    assert len(small.edges) > 0
+    want = dense_system(small)
+    for dtype in (np.int32, np.int64):
+        small.edges = np.ascontiguousarray(small.edges, dtype=dtype)   # [E,2] rows
+        for got, ref in zip(dense_system(small), want):
+            assert np.array_equal(got, ref)
+
+
+def test_solve_peak_memory_is_four_vectors_and_one_apply_above_the_system():
+    """Past the built system (whose right-hand side the PCG takes as its
+    residual), solve holds x, p, z and A p, and one apply adds one E-sized
+    gather, scaled in place, and one bincount output: on the 15,360
+    candidates and 25,512 edges of seeded_graph that is ~0.78 MiB.  A PCG
+    that copies the right-hand side (+0.12 MiB) or an apply that holds a
+    gather beside its product (+0.19 MiB) fails the bound."""
+    graph = seeded_graph()
+    n, e = graph.n_candidates, len(graph.edges)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system = build_system(graph)
+        built = tracemalloc.get_traced_memory()[0] - base
+        del system
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sol = solve(graph)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sol.iterations > 5
+    assert peak - built <= 8 * (4 * n + e + n) + 4096
+
+
+def test_solve_leaves_the_graph_unchanged():
+    """The PCG overwrites the right-hand side that build_system hands it,
+    which must be its own array: a second solve of one graph gives the
+    same bytes, and every graph array keeps its bytes."""
+    graph = seeded_graph()
+    names = ("edges", "edge_weights", "prior_fg", "prior_bg", "dirichlet_idx",
+             "dirichlet_labels", "dirichlet_weights")
+    before = [getattr(graph, name).copy() for name in names]
+    first, second = solve(graph), solve(graph)
+    assert first.x.tobytes() == second.x.tobytes()
+    assert (first.iterations, first.residual) == (second.iterations, second.residual)
+    for name, want in zip(names, before):
+        got = getattr(graph, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

@@ -31,11 +31,6 @@ kernel of depth 1 is the same code with one row block and an empty frame
 head, which is how conv2d, the ConvLSTM's per-step state convolution, and
 the 1×1×1 projections run.
 
-Stride lives at the API edge: a strided conv is the unit-stride conv
-subsampled, and its gradient is the unit-stride gradient of the output
-gradient placed on a zeroed unit-stride grid (Dumoulin & Visin,
-arXiv:1603.07285).  The network itself runs only unit-stride convs.
-
 Operations compute in numpy's promoted dtype of their arguments, and the
 column buffer takes that dtype too.  The network holds float32 parameters
 and casts its inputs to them, so training and inference run in float32,
@@ -49,15 +44,6 @@ import numpy as np
 # its GEMM output and output frame on the padded grid; a slab holds as many
 # input planes as fit, and at least one
 _SLAB_BYTES = 2 << 20
-
-
-def _as_triple(v):
-    t = (int(v),) * 3 if np.isscalar(v) else tuple(int(s) for s in v)
-    if len(t) != 3:
-        raise ValueError(f"expected 3 stride entries, got {v!r}")
-    if any(s < 1 for s in t):
-        raise ValueError(f"stride entries must be positive, got {t}")
-    return t
 
 
 def _check_grad(grad, shape):
@@ -149,15 +135,16 @@ def _conv_backward(grad, xp, weights, pads):
     return dx, dw.transpose(1, 2, 0, 3, 4)
 
 
-def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
+def conv3d_forward(x, weights, bias, padding="same"):
     """Cross-correlate a [m,D,H,W] volume with [n,m,d,k,k] kernels.
 
     bias is [n], or None for no bias.  Returns the pre-activation output
-    [n,D',H',W'] together with the padded input (needed by
-    :func:`conv3d_backward`) and the pad amounts.  'same' padding puts
-    (k−1)//2 zeros before each spatial axis and the rest after; with
-    nothing to pad ('valid', or 1-voxel kernels) the padded input is x
-    itself, not a copy.
+    [n,D,H,W] together with the padded input (needed by
+    :func:`conv3d_backward`) and the pad amounts.  The convolution runs at
+    unit stride with 'same' padding: (k−1)//2 zeros before each spatial
+    axis and the rest after, and with nothing to pad (1-voxel kernels) the
+    padded input is x itself, not a copy.  `padding` takes only 'same',
+    which the benchmark passes by name; ROADMAP Open item 11 deletes it.
     """
     x = np.asarray(x)
     weights = np.asarray(weights)
@@ -175,19 +162,18 @@ def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
             raise ValueError(
                 f"bias shape {bias.shape} does not match {weights.shape[0]} "
                 "output maps (one pair per output feature map)")
-    stride = _as_triple(stride)
-    if padding not in ("same", "valid"):
-        raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
+    if padding != "same":
+        raise ValueError(f"padding must be 'same', got {padding!r}")
     kext = weights.shape[2:]
-    pads = [(0, 0)] + [((k - 1) // 2, k // 2) if padding == "same" else (0, 0) for k in kext]
+    pads = [(0, 0)] + [((k - 1) // 2, k // 2) for k in kext]
     xp = x
     if any(lo or hi for lo, hi in pads):
         xp = np.zeros(tuple(s + lo + hi for s, (lo, hi) in zip(x.shape, pads)), dtype=x.dtype)
         xp[tuple(slice(lo, lo + s) for s, (lo, _) in zip(x.shape, pads))] = x
+    # under 'same' padding only an empty axis is narrower than its kernel
     if any(xp.shape[1 + i] < kext[i] for i in range(3)):
         raise ValueError(
-            f"kernel extents {kext} do not fit inside input extents {x.shape[1:]} "
-            f"under {padding!r} padding")
+            f"kernel extents {kext} do not fit inside input extents {x.shape[1:]}")
     kd = kext[0]
     dtype = np.result_type(xp, weights)
     w2 = _by_depth_tap(weights)
@@ -203,26 +189,21 @@ def conv3d_forward(x, weights, bias, stride=(1, 1, 1), padding="valid"):
         if bias is not None:
             done += bias[:, None, None, None]  # whole planes: fewer, longer loops
         y[:, lo:lo + done.shape[1]] = done[:, :, :hu, :wu]
-    if stride != (1, 1, 1):
-        y = y[:, ::stride[0], ::stride[1], ::stride[2]].copy()
     return y, xp, pads
 
 
 def conv3d_backward(grad, xp, weights, stride, pads):
     """Gradients of a conv3d pre-activation w.r.t. input, weights, bias.
 
-    grad: [n,D',H',W'] gradient at the output; xp is the padded input kept
-    from the forward pass.  A strided gradient is placed onto a zeroed
-    unit-stride output grid, whose other outputs get a zero gradient.
+    grad: [n,D,H,W] gradient at the output; xp and pads are the padded
+    input and pad amounts kept from the forward pass.  `stride` takes only
+    (1, 1, 1), which the benchmark passes by position; ROADMAP Open item 11
+    deletes it.
     """
-    stride = _as_triple(stride)
-    unit = _unit_out(xp, weights)
-    _check_grad(grad, unit[:1] + tuple(-(-u // s) for u, s in zip(unit[1:], stride)))
-    g = grad
     if stride != (1, 1, 1):
-        g = np.zeros(unit, dtype=grad.dtype)
-        g[:, ::stride[0], ::stride[1], ::stride[2]] = grad
-    dx, dw = _conv_backward(g, xp, weights, pads)
+        raise ValueError(f"stride must be (1, 1, 1), got {stride!r}")
+    _check_grad(grad, _unit_out(xp, weights))
+    dx, dw = _conv_backward(grad, xp, weights, pads)
     return dx, dw, grad.sum(axis=(1, 2, 3))
 
 
@@ -234,7 +215,7 @@ def conv2d_forward(x, weights):
     if x.ndim != 3 or weights.ndim != 4:
         raise ValueError(f"conv2d takes [m,H,W] input and [q,m,k,k] weights, "
                          f"got shapes {x.shape} and {weights.shape}")
-    y, xp, pads = conv3d_forward(x[:, None], weights[:, :, None], None, padding="same")
+    y, xp, pads = conv3d_forward(x[:, None], weights[:, :, None], None)
     return y[:, 0], xp[:, 0], [pads[0]] + pads[2:]
 
 

@@ -152,7 +152,7 @@ class Conv3DLayer:
         self.relu = relu
 
     def forward(self, x):
-        y, xp, pads = conv3d_forward(x, self.weights, self.bias, padding="same")
+        y, xp, pads = conv3d_forward(x, self.weights, self.bias)
         mask = y > 0 if self.relu else None
         if mask is not None:
             y *= mask
@@ -271,7 +271,7 @@ class ConvLSTMUnit:
             raise ValueError(f"ConvLSTM unit expects [m,L,H,W], got shape {x.shape}")
         n = self.b.shape[0] // 4
         length = x.shape[1]
-        z, xp, xpads = conv3d_forward(x, self.wx[:, :, None], self.b, padding="same")
+        z, xp, xpads = conv3d_forward(x, self.wx[:, :, None], self.b)
         cells = np.zeros((n, length + 1) + x.shape[2:], dtype=x.dtype)
         outs = np.empty((n, length) + x.shape[2:], dtype=x.dtype)
         # a 1-step scan runs no state convolution and keeps these unused pads
@@ -476,16 +476,15 @@ class RandomConnectionNet:
 
 
 def infer(net, volume, mode="expectation"):
-    """Deterministic inference.
+    """Deterministic inference: the expectation over the random skip
+    connections, every skip scaled by alpha.
 
-    mode 'expectation' scales every skip by alpha; 'all-true' keeps every
-    skip (ablation switch).
+    `mode` takes only 'expectation', which the benchmark passes by name;
+    ROADMAP Open item 11 deletes it.
     """
-    if mode == "expectation":
-        return net.forward(volume, mask=None)
-    if mode == "all-true":
-        return net.forward(volume, mask=np.ones(net.spec.depth, dtype=bool))
-    raise ValueError(f"mode must be 'expectation' or 'all-true', got {mode!r}")
+    if mode != "expectation":
+        raise ValueError(f"mode must be 'expectation', got {mode!r}")
+    return net.forward(volume)
 
 
 def train_toy(spec, config, dataset):

@@ -9,31 +9,26 @@ import math
 import numpy as np
 
 
-def conv3d_oracle(x, weights, bias, padding="valid"):
-    """Quadruple-loop 3D cross-correlation at unit stride."""
+def conv3d_oracle(x, weights, bias):
+    """Quadruple-loop 3D cross-correlation at unit stride, 'same'-padded."""
     m, dd, hh, ww = x.shape
     n, m2, kd, kh, kw = weights.shape
     assert m == m2
-    if padding == "same":
-        xp = np.zeros((m, dd + kd - 1, hh + kh - 1, ww + kw - 1))
-        xp[:, (kd - 1) // 2:(kd - 1) // 2 + dd,
-           (kh - 1) // 2:(kh - 1) // 2 + hh,
-           (kw - 1) // 2:(kw - 1) // 2 + ww] = x
-        x = xp
-        od, oh, ow = dd, hh, ww
-    else:
-        od, oh, ow = dd - kd + 1, hh - kh + 1, ww - kw + 1
-    y = np.zeros((n, od, oh, ow))
+    xp = np.zeros((m, dd + kd - 1, hh + kh - 1, ww + kw - 1))
+    xp[:, (kd - 1) // 2:(kd - 1) // 2 + dd,
+       (kh - 1) // 2:(kh - 1) // 2 + hh,
+       (kw - 1) // 2:(kw - 1) // 2 + ww] = x
+    y = np.zeros((n, dd, hh, ww))
     for o in range(n):
-        for a in range(od):
-            for b in range(oh):
-                for c in range(ow):
+        for a in range(dd):
+            for b in range(hh):
+                for c in range(ww):
                     s = bias[o]
                     for q in range(m):
                         for i in range(kd):
                             for j in range(kh):
                                 for l in range(kw):
-                                    s += weights[o, q, i, j, l] * x[q, a + i, b + j, c + l]
+                                    s += weights[o, q, i, j, l] * xp[q, a + i, b + j, c + l]
                     y[o, a, b, c] = s
     return y
 

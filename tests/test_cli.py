@@ -45,11 +45,12 @@ def labels(tmp_path):
 
 
 def test_success_writes_results_to_stdout_and_logs_to_stderr(tmp_path, labels):
-    out = run_cli("synth", "--dims", 8, 8, 8, "--out-intensity", tmp_path / "i.raw",
-                  "--out-label", tmp_path / "l.raw")
+    out = run_cli("synth", "--dims", 8, 8, 8, "--n-blobs", 0,
+                  "--out-intensity", tmp_path / "i.raw", "--out-label", tmp_path / "l.raw")
     assert out.returncode == 0, out.stderr
     assert out.stdout == ""
     assert out.stderr.startswith("synth: wrote")
+    assert not read_volume(tmp_path / "l.raw")[0].any()  # no blob, no foreground
     out = run_cli("dice", *labels)
     assert out.returncode == 0, out.stderr
     assert out.stdout == f"{2 * 2 / 6:.6f}\n"
@@ -352,14 +353,16 @@ def test_refine_scores_the_maps_once(tmp_path, scene, monkeypatch, capsys):
 
 def test_train_infer_and_refine_log_their_wall_time(tmp_path, scene):
     """train, infer and refine each log one line with the command's wall
-    time; train's line ends with it, after the loss of every epoch."""
+    time; train's line ends with it, after the loss of every epoch.  The net
+    is trained with other than the default kernels, which its checkpoint
+    keeps and infer runs."""
     intensity, probs = scene
     label = tmp_path / "l.raw"
     ckpt = tmp_path / "net.ckpt"
     args = {
         "train": ["--unit", "conv3d", "--volume", intensity, "--label", label,
-                  "--depth", 1, "--widths", "2,3", "--learning-rate", 0.5, "--epochs", 3,
-                  "--seed", 4, "--out", ckpt],
+                  "--depth", 1, "--widths", "2,3", "--kernel", 5, "--temporal-kernel", 1,
+                  "--learning-rate", 0.5, "--epochs", 3, "--seed", 4, "--out", ckpt],
         "infer": ["--checkpoint", ckpt, "--volume", intensity, "--out", tmp_path / "p.raw"],
         "refine": ["--probs", *probs, "--intensity", intensity, "--theta", "0.5",
                    "--out", tmp_path / "o.raw"],
@@ -376,7 +379,9 @@ def test_train_infer_and_refine_log_their_wall_time(tmp_path, scene):
         assert line.startswith(command + ":") and wall, line
         assert 0.0 <= float(wall.group(1)) <= elapsed
         lines[command] = line
-    spec = network.NetworkSpec("conv3d", 1, (2, 3), alpha=PipelineConfig().alpha, rng_seed=4)
+    spec = network.NetworkSpec("conv3d", 1, (2, 3), kernel=5, temporal_kernel=1,
+                               alpha=PipelineConfig().alpha, rng_seed=4)
+    assert network.load_checkpoint(ckpt).spec == spec
     _, history = network.train_toy(spec, network.TrainConfig(learning_rate=0.5, epochs=3),
                                    [(read_volume(intensity)[0], read_volume(label)[0])])
     losses = ", ".join(f"{loss:.6f}" for loss in history)

@@ -19,8 +19,8 @@ from voxwalk.network import Conv3DLayer, ConvLSTMUnit
 from oracles import conv3d_oracle, numeric_grad, pool_oracle, upsample_oracle
 
 
-def conv3d(x, w, b, stride=(1, 1, 1), padding="valid"):
-    return conv3d_forward(x, w, b, stride, padding)[0]
+def conv3d(x, w, b):
+    return conv3d_forward(x, w, b)[0]
 
 
 def pool3d(x, window):
@@ -38,7 +38,7 @@ def test_conv3d_full_window_sums_to_27():
     w = np.ones((1, 1, 3, 3, 3))
     b = np.zeros(1)
     expected = conv3d_oracle(x, w, b)
-    assert expected.shape == (1, 1, 1, 1) and expected[0, 0, 0, 0] == 27.0
+    assert expected.shape == (1, 3, 3, 3) and expected[0, 1, 1, 1] == 27.0
     y = conv3d(x, w, b)
     assert np.allclose(y, expected, rtol=1e-12, atol=0)
 
@@ -61,9 +61,10 @@ def test_conv3d_shape_mismatch_diagnostic():
 
 
 def test_conv3d_kernel_too_large_rejected():
-    x = np.zeros((1, 2, 2, 2))
+    # 'same' padding widens an empty axis to kd-1 planes, one short of the kernel
+    x = np.zeros((1, 0, 2, 2))
     with pytest.raises(ValueError, match="fit"):
-        conv3d(x, np.zeros((1, 1, 3, 3, 3)), np.zeros(1), padding="valid")
+        conv3d(x, np.zeros((1, 1, 3, 3, 3)), np.zeros(1))
 
 
 def test_conv3d_bias_length_checked():
@@ -73,29 +74,12 @@ def test_conv3d_bias_length_checked():
             conv3d_forward(np.zeros((1, 2, 2, 2)), np.zeros((2, 1, 1, 1, 1)), bias)
 
 
-@pytest.mark.parametrize("stride", [(-1, 1, 1), (1, 0, 1), 0])
-def test_conv3d_stride_must_be_positive(stride):
-    # a negative stride used to return a wrong output of full shape
-    w = np.zeros((1, 1, 2, 2, 2))
-    with pytest.raises(ValueError, match="positive"):
-        conv3d_forward(np.zeros((1, 4, 4, 4)), w, np.zeros(1), stride)
-    y, xp, pads = conv3d_forward(np.zeros((1, 4, 4, 4)), w, np.zeros(1))
-    with pytest.raises(ValueError, match="positive"):
-        conv3d_backward(y, xp, w, stride, pads)
-
-
-def test_conv3d_stride_needs_three_entries():
-    with pytest.raises(ValueError, match="3 stride entries"):
-        conv3d_forward(np.zeros((1, 4, 4, 4)), np.zeros((1, 1, 2, 2, 2)), np.zeros(1), (1, 1))
-
-
 def test_conv3d_weights_rank_checked():
     with pytest.raises(ValueError, match="5-D"):
         conv3d_forward(np.zeros((1, 4, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
 
 
-@pytest.mark.parametrize("padding", ["valid", "same"])
-def test_conv3d_matches_loop_oracle(padding):
+def test_conv3d_matches_loop_oracle():
     rng = np.random.default_rng(42)
     for _ in range(25):
         m = rng.integers(1, 4)
@@ -107,34 +91,24 @@ def test_conv3d_matches_loop_oracle(padding):
         x = rng.normal(size=(m, dd, hh, ww))
         w = rng.normal(size=(n, m, kd, kh, kw))
         b = rng.normal(size=n)
-        got = conv3d(x, w, b, padding=padding)
-        want = conv3d_oracle(x, w, b, padding=padding)
+        got = conv3d(x, w, b)
+        want = conv3d_oracle(x, w, b)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-
-
-def test_conv3d_stride_subsamples_unit_stride_output():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 6, 6, 6))
-    w = rng.normal(size=(3, 2, 2, 2, 2))
-    b = rng.normal(size=3)
-    full = conv3d_oracle(x, w, b)
-    got = conv3d(x, w, b, stride=(2, 1, 3))
-    assert np.allclose(got, full[:, ::2, ::1, ::3], rtol=1e-12)
 
 
 def test_conv3d_same_padding_preserves_extents():
     x = np.zeros((2, 4, 6, 5))
-    y = conv3d(x, np.zeros((3, 2, 3, 3, 3)), np.zeros(3), padding="same")
+    y = conv3d(x, np.zeros((3, 2, 3, 3, 3)), np.zeros(3))
     assert y.shape == (3, 4, 6, 5)
 
 
 def test_unit_kernel_same_padding_reuses_input():
     # 1x1x1 kernels need no pad, so the padded input is the input, not a copy
     x = np.random.default_rng(30).normal(size=(2, 3, 4, 5))
-    y, xp, pads = conv3d_forward(x, np.ones((1, 2, 1, 1, 1)), None, padding="same")
+    y, xp, pads = conv3d_forward(x, np.ones((1, 2, 1, 1, 1)), None)
     assert xp is x and pads == [(0, 0)] * 4
     assert np.allclose(y[0], x.sum(axis=0), rtol=1e-12)
-    assert conv3d_forward(x, np.ones((1, 2, 3, 1, 1)), None, padding="same")[1].shape == (2, 5, 4, 5)
+    assert conv3d_forward(x, np.ones((1, 2, 3, 1, 1)), None)[1].shape == (2, 5, 4, 5)
 
 
 def test_conv3d_backward_matches_numeric():
@@ -145,10 +119,10 @@ def test_conv3d_backward_matches_numeric():
     r = rng.normal(size=(3, 4, 5, 4))  # projection making the output scalar
 
     def run():
-        y, _, _ = conv3d_forward(x, w, b, padding="same")
+        y, _, _ = conv3d_forward(x, w, b)
         return float((y * r).sum())
 
-    y, xp, pads = conv3d_forward(x, w, b, padding="same")
+    y, xp, pads = conv3d_forward(x, w, b)
     dx, dw, db = conv3d_backward(r, xp, w, (1, 1, 1), pads)
     assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
     assert np.allclose(dw, numeric_grad(run, w), atol=1e-7)
@@ -161,8 +135,7 @@ def small_slabs(monkeypatch):
     monkeypatch.setattr(convops, "_SLAB_BYTES", 300)
 
 
-@pytest.mark.parametrize("padding", ["valid", "same"])
-def test_conv3d_strided_multi_slab_matches_loop_oracle(small_slabs, padding):
+def test_conv3d_multi_slab_matches_loop_oracle(small_slabs):
     rng = np.random.default_rng(23)
     x = rng.normal(size=(2, 9, 6, 8))
     b = rng.normal(size=3)
@@ -170,15 +143,12 @@ def test_conv3d_strided_multi_slab_matches_loop_oracle(small_slabs, padding):
     # frame's head carries 4 open planes, more than a slab holds
     for w in (rng.normal(size=(3, 2, 2, 3, 2)), rng.normal(size=(3, 2, 3, 3, 2)),
               rng.normal(size=(3, 2, 5, 3, 2))):
-        for stride in ((1, 1, 1), (2, 1, 3)):
-            full = conv3d_oracle(x, w, b, padding=padding)
-            got = conv3d(x, w, b, stride=stride, padding=padding)
-            assert got.shape[1] > 2  # more output planes than fit in one slab
-            assert np.allclose(got, full[:, ::stride[0], ::stride[1], ::stride[2]], rtol=1e-12)
+        got = conv3d(x, w, b)
+        assert got.shape[1] > 2  # more output planes than fit in one slab
+        assert np.allclose(got, conv3d_oracle(x, w, b), rtol=1e-12)
 
 
-@pytest.mark.parametrize("padding", ["valid", "same"])
-def test_conv3d_forward_reads_only_what_its_gemm_writes(small_slabs, monkeypatch, padding):
+def test_conv3d_forward_reads_only_what_its_gemm_writes(small_slabs, monkeypatch):
     """The forward's slab buffer keeps stale values from slab to slab: NaN
     in every plane of the GEMM's output, put there before the GEMM, changes
     no output.  Only the frame's first kd-1 planes, the output planes left
@@ -198,32 +168,27 @@ def test_conv3d_forward_reads_only_what_its_gemm_writes(small_slabs, monkeypatch
             yield item
 
     monkeypatch.setattr(convops, "_slabs", poisoned)
-    for stride in ((1, 1, 1), (2, 1, 3)):
-        full = conv3d_oracle(x, w, b, padding=padding)
-        got = conv3d(x, w, b, stride=stride, padding=padding)
-        assert np.allclose(got, full[:, ::stride[0], ::stride[1], ::stride[2]], rtol=1e-12)
+    assert np.allclose(conv3d(x, w, b), conv3d_oracle(x, w, b), rtol=1e-12)
 
 
-@pytest.mark.parametrize("padding", ["valid", "same"])
-def test_conv3d_strided_backward_matches_numeric(small_slabs, padding):
+def test_conv3d_multi_slab_backward_matches_numeric(small_slabs):
     rng = np.random.default_rng(29)
     x = rng.normal(size=(2, 7, 5, 7))
     b = rng.normal(size=3)
     # depth 5: the frame's head carries 4 gradient planes, more than a slab holds
     for w in (rng.normal(size=(3, 2, 3, 2, 2)), rng.normal(size=(3, 2, 5, 2, 2))):
-        for stride in ((1, 1, 1), (2, 1, 3)):
-            y, xp, pads = conv3d_forward(x, w, b, stride, padding)
-            r = rng.normal(size=y.shape)
+        y, xp, pads = conv3d_forward(x, w, b)
+        r = rng.normal(size=y.shape)
 
-            def run():
-                y, _, _ = conv3d_forward(x, w, b, stride, padding)
-                return float((y * r).sum())
+        def run():
+            y, _, _ = conv3d_forward(x, w, b)
+            return float((y * r).sum())
 
-            dx, dw, db = conv3d_backward(r, xp, w, stride, pads)
-            assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
-            assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
-            assert np.allclose(dw, numeric_grad(run, w), atol=1e-7)
-            assert np.allclose(db, numeric_grad(run, b), atol=1e-7)
+        dx, dw, db = conv3d_backward(r, xp, w, (1, 1, 1), pads)
+        assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
+        assert np.allclose(dx, numeric_grad(run, x), atol=1e-7)
+        assert np.allclose(dw, numeric_grad(run, w), atol=1e-7)
+        assert np.allclose(db, numeric_grad(run, b), atol=1e-7)
 
 
 def test_conv_slab_size_does_not_change_results(monkeypatch):
@@ -239,7 +204,7 @@ def test_conv_slab_size_does_not_change_results(monkeypatch):
     results = []
     for slab_bytes in (1, 8 << 20):
         monkeypatch.setattr(convops, "_SLAB_BYTES", slab_bytes)
-        y, xp, pads = conv3d_forward(x, w, None, padding="same")
+        y, xp, pads = conv3d_forward(x, w, None)
         h, cache = unit.forward(x)
         dx, grads = unit.backward(g, cache)
         results.append((y, *conv3d_backward(g, xp, w, (1, 1, 1), pads),
@@ -260,7 +225,7 @@ def test_conv3d_peak_memory_is_bounded():
         b = np.zeros(kernel[0], dtype=np.float32)
         tracemalloc.start()
         try:
-            y, xp, pads = conv3d_forward(x, w, b, padding="same")
+            y, xp, pads = conv3d_forward(x, w, b)
             forward_peak = tracemalloc.get_traced_memory()[1]
             g = np.ones_like(y)
             tracemalloc.reset_peak()
@@ -278,7 +243,7 @@ def test_conv2d_matches_conv3d_on_singleton_axis():
     x = rng.normal(size=(2, 5, 4))
     w = rng.normal(size=(3, 2, 3, 3))
     got, _, _ = conv2d_forward(x, w)
-    want = conv3d_oracle(x[:, None], w[:, :, None], np.zeros(3), padding="same")[:, 0]
+    want = conv3d_oracle(x[:, None], w[:, :, None], np.zeros(3))[:, 0]
     assert np.allclose(got, want, rtol=1e-12)
 
 
@@ -388,13 +353,12 @@ def test_backward_rejects_mis_shaped_gradients():
     not the output's gradient: each backward names both shapes."""
     rng = np.random.default_rng(43)
     w = rng.normal(size=(3, 2, 3, 3, 3))
-    _, xp, pads = conv3d_forward(rng.normal(size=(2, 4, 5, 6)), w, None, padding="same")
+    _, xp, pads = conv3d_forward(rng.normal(size=(2, 4, 5, 6)), w, None)
     _, xp2, pads2 = conv2d_forward(rng.normal(size=(2, 5, 6)), w[:, :, 0])
     _, cache = pool3d_forward(rng.normal(size=(3, 4, 4, 6)), (1, 2, 2, 2))
     cases = [
         (lambda g: conv3d_backward(g, xp, w, (1, 1, 1), pads), (3, 4, 5, 6), (3, 4, 1, 6)),
         (lambda g: conv3d_backward(g, xp, w, (1, 1, 1), pads), (3, 4, 5, 6), (1, 4, 5, 6)),
-        (lambda g: conv3d_backward(g, xp, w, (2, 1, 3), pads), (3, 2, 5, 2), (3, 4, 5, 6)),
         (lambda g: conv2d_backward(g, xp2, w[:, :, 0], pads2), (3, 5, 6), (3, 1, 6)),
         (lambda g: conv2d_backward(g, xp2, w[:, :, 0], pads2), (3, 5, 6), (1, 5, 6)),
         (lambda g: pool3d_backward(g, cache), (3, 2, 2, 3), (1,)),

@@ -37,7 +37,7 @@ def test_nonfinite_values_raise():
 
 def _conv_relu_scalar(x, w, b, r):
     """conv3d+relu projected to a scalar; returns (value, grad wrt w, preacts)."""
-    y, xp, pads = conv3d_forward(x, w, b, padding="same")
+    y, xp, pads = conv3d_forward(x, w, b)
     mask = y > 0
     value = float((np.maximum(y, 0.0) * r).sum())
     _, dw, _ = conv3d_backward(r * mask, xp, w, (1, 1, 1), pads)

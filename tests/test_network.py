@@ -243,7 +243,7 @@ def test_alpha_one_trains_and_infers_the_fixed_connection_network(monkeypatch):
         assert isinstance(mask, np.ndarray) and mask.dtype == np.bool_
         assert mask.shape == (2,) and mask.all()
     vol = dataset[0][0]
-    assert np.array_equal(infer(net, vol), infer(net, vol, mode="all-true"))
+    assert np.array_equal(infer(net, vol), net.forward(vol, mask=np.ones(2, dtype=bool)))
 
 
 def test_training_requires_data_and_consistent_shapes():
@@ -540,14 +540,26 @@ def test_layer_arrays_are_views_of_params(tmp_path, make, dims):
     assert p.dtype == np.float64 and np.all(p == sigmoid(np.float64(2.0)))
 
 
-def test_infer_modes():
+@pytest.mark.parametrize("name", ["padding", "stride", "mode"])
+def test_benchmark_pinned_names_take_only_the_value_it_passes(name):
+    """`padding`, `stride` and `mode` stay only because the benchmark passes
+    them: at that value each call runs the one path, and any other value
+    raises an error that names the parameter."""
+    rng = np.random.default_rng(17)
+    x, w = rng.normal(size=(2, 4, 5, 6)), rng.normal(size=(3, 2, 3, 3, 3))
+    y, xp, pads = convops.conv3d_forward(x, w, None)
     net = small_conv_net(seed=17)
-    vol = np.random.default_rng(17).normal(0.5, 0.3, (4, 4, 4))
-    assert np.array_equal(infer(net, vol), net.forward(vol))
-    assert np.array_equal(infer(net, vol, mode="all-true"),
-                          net.forward(vol, mask=np.array([True])))
-    with pytest.raises(ValueError, match="mode"):
-        infer(net, vol, mode="sampled")
+    vol = rng.normal(0.5, 0.3, (4, 4, 4))
+    call, want, good, bad = {
+        "padding": (lambda v: convops.conv3d_forward(x, w, None, padding=v)[0], y,
+                    "same", "valid"),
+        "stride": (lambda v: convops.conv3d_backward(y, xp, w, v, pads)[0],
+                   convops._conv_backward(y, xp, w, pads)[0], (1, 1, 1), (2, 1, 3)),
+        "mode": (lambda v: infer(net, vol, mode=v), net.forward(vol), "expectation", "all-true"),
+    }[name]
+    assert np.array_equal(call(good), want)
+    with pytest.raises(ValueError, match=name):
+        call(bad)
 
 
 def stability_signature(net, vol, mask=None):

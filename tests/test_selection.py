@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import os
 import sys
 import tracemalloc
 
@@ -290,6 +291,15 @@ def test_slab_runs_split_the_slabs_evenly(monkeypatch):
     ]:
         monkeypatch.setattr(selection, "_worker_count", lambda: workers)
         assert selection._slab_runs(depth, 12) == want, (workers, depth)
+
+
+@pytest.mark.parametrize("cores, workers", [(6, 6), (None, 1)])
+def test_worker_count_falls_back_to_the_core_count(monkeypatch, cores, workers):
+    """Where the platform cannot tell the CPU affinity, the machine's core
+    count is used, and one worker where that is unknown too."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert selection._worker_count() == workers
 
 
 @pytest.mark.parametrize("dims, planes", [

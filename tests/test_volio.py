@@ -70,6 +70,17 @@ def test_value_beyond_float32_range_rejected_at_write(tmp_path, value):
     assert not path.exists() and not (tmp_path / sidecar_path("big.raw")).exists()
 
 
+def test_failed_write_removes_its_temp_file(tmp_path, monkeypatch):
+    # the rename over the target fails: the temp file beside it goes too
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_volume(tmp_path / "v.raw", np.zeros((2, 2, 2)), "intensity")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sidecar_contents(tmp_path):
     path = tmp_path / "p.raw"
     write_volume(path, np.full((2, 2, 2), 0.25), "prob")

@@ -55,7 +55,7 @@ def _check_kind(data, kind, path):
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if kind == "label":
-        if not np.isin(data, (0.0, 1.0)).all():
+        if not ((data == 0) | (data == 1)).all():
             raise ValueError(f"{path}: label volumes must contain only 0 and 1")
     elif data.size:
         lo, hi = data.min(), data.max()  # NaN and +-inf reach one of them

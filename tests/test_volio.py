@@ -166,6 +166,29 @@ def test_kind_constraints_enforced(tmp_path):
         write_volume(tmp_path / "bad.raw", np.zeros((2, 2, 2)), "mystery")
 
 
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.0, 0.5, np.nan, 2.0, np.inf, -np.inf])
+def test_label_values_accepted_as_by_isin(tmp_path, value):
+    """A label volume is accepted at write and at read exactly when np.isin
+    finds each value in (0, 1): -0.0 is 0, and NaN, 0.5, 2 and +-inf are
+    rejected."""
+    data = np.zeros((2, 2, 2))
+    data[1, 0, 1] = value
+    path = tmp_path / "v.raw"
+    accepted = bool(np.isin(np.float32(value), (0.0, 1.0)))
+    if accepted:
+        write_volume(path, data, "label")
+        assert read_volume(path, expect_kind="label")[0].tobytes() == data.astype("<f4").tobytes()
+    else:
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            write_volume(path, data, "label")
+        write_volume(path, np.zeros((2, 2, 2)), "label")
+        payload = np.fromfile(path, dtype="<f4")
+        payload[5] = value
+        payload.tofile(path)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            read_volume(path)
+
+
 def test_expected_kind_checked(tmp_path):
     path = tmp_path / "v.raw"
     write_volume(path, np.zeros((2, 2, 2)), "label")

@@ -55,7 +55,7 @@ def test_single_candidate_closed_form():
 
 def test_three_node_chain_matches_dense_solve():
     graph = CompactGraph(
-        edges=np.array([[0, 1], [1, 2]]),
+        edges=np.array([[0, 1], [2, 1]]),
         edge_weights=np.array([0.8, 0.6]),
         prior_fg=np.array([0.9, 0.5, 0.2]) ** 2,
         prior_bg=np.array([0.1, 0.5, 0.8]) ** 2,
@@ -68,7 +68,7 @@ def test_three_node_chain_matches_dense_solve():
 
 def test_all_foreground_priors_give_ones():
     graph = CompactGraph(
-        edges=np.array([[0, 1], [1, 2], [2, 3]]),
+        edges=np.array([[0, 1], [2, 1], [2, 3]]),
         edge_weights=np.array([0.5, 0.9, 0.3]),
         prior_fg=np.full(4, 2.0),
         prior_bg=np.zeros(4),
@@ -91,8 +91,9 @@ def test_strong_edge_pulls_values_together():
     assert abs(strong.x[0] - strong.x[1]) < abs(weak.x[0] - weak.x[1])
 
 
-def random_graph(rng, max_candidates=50):
-    """Random selection over a small random scene via the real assembly path."""
+def random_graph(rng, max_candidates=50, include_dirichlet=None):
+    """Random selection over a small random scene via the real assembly
+    path, with or without Dirichlet terms at random unless asked for."""
     dims = tuple(rng.integers(2, 5, size=3))
     k = int(rng.integers(1, 4))
     maps = rng.random((k,) + dims)
@@ -100,8 +101,10 @@ def random_graph(rng, max_candidates=50):
     n_vox = int(np.prod(dims))
     theta = 1.0 - min(max_candidates, n_vox - 1) / n_vox
     sel = select(maps, theta)
-    return assemble(sel, maps, intensity, beta=float(rng.uniform(0, 150)),
-                    include_dirichlet=bool(rng.integers(0, 2)))
+    beta = float(rng.uniform(0, 150))
+    if include_dirichlet is None:
+        include_dirichlet = bool(rng.integers(0, 2))
+    return assemble(sel, maps, intensity, beta=beta, include_dirichlet=include_dirichlet)
 
 
 def test_solve_agrees_with_dense_direct_solver():
@@ -117,22 +120,50 @@ def test_solve_agrees_with_dense_direct_solver():
         assert sol.x.min() >= 0.0 and sol.x.max() <= 1.0
 
 
+def unknowns(graph):
+    """Mask of the candidates the PCG solves for: all but the first ends."""
+    first = np.zeros(graph.n_candidates, dtype=bool)
+    first[graph.edges[:, 0]] = True
+    return ~first
+
+
 def dense_system(graph):
-    """(A, diag, b) of build_system, with A made dense one column at a time
-    by applying the system to each unit vector."""
-    apply, diag, b = build_system(graph)
-    return np.column_stack([apply(e) for e in np.eye(graph.n_candidates)]), diag, b
+    """(S, diag, b) of build_system: the reduced operator S made dense on the
+    unknowns one column at a time, by applying it to each unit vector of an
+    unknown, the full diagonal and the reduced right-hand side on the
+    unknowns.  Each product and the right-hand side must be exactly 0 on the
+    first class."""
+    system = build_system(graph)
+    u = unknowns(graph)
+    cols = [system.apply(e) for e in np.eye(graph.n_candidates)[u]]
+    for v in cols + [system.rhs]:
+        assert not v[~u].any()
+    return np.column_stack(cols)[u], system.diag, system.rhs[u]
+
+
+def dense_schur_oracle(graph):
+    """Schur complement A_uu - A_uf A_ff⁻¹ A_fu of the dense oracle system
+    on the unknowns u, and the reduced right-hand side b_u - A_uf A_ff⁻¹ b_f."""
+    a, b = dense_system_oracle(graph)
+    u = unknowns(graph)
+    f = ~u
+    a_uf_inv = a[np.ix_(u, f)] @ np.linalg.inv(a[np.ix_(f, f)])
+    return a[np.ix_(u, u)] - a_uf_inv @ a[np.ix_(f, u)], b[u] - a_uf_inv @ b[f], a
 
 
 def test_sparse_system_matches_dense_oracle():
+    # build_system's operator is the dense Schur complement of the oracle
+    # system, and its right-hand side the reduced one, with and without
+    # Dirichlet terms
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        graph = random_graph(rng)
-        a, diag, b = dense_system(graph)
-        a0, b0 = dense_system_oracle(graph)
-        assert np.allclose(a, a0, atol=1e-12)
-        assert np.array_equal(diag, np.diag(a))
-        assert np.allclose(b, b0, atol=1e-12)
+    for include_dirichlet in (True, False):
+        for _ in range(20):
+            graph = random_graph(rng, include_dirichlet=include_dirichlet)
+            s, diag, b = dense_system(graph)
+            s0, b0, a0 = dense_schur_oracle(graph)
+            assert np.allclose(s, s0, atol=1e-12)
+            assert np.allclose(diag, np.diag(a0), atol=1e-12)
+            assert np.allclose(b, b0, atol=1e-12)
 
 
 def test_system_is_m_matrix():
@@ -144,6 +175,21 @@ def test_system_is_m_matrix():
         off = dense - np.diag(np.diag(dense))
         assert np.all(off <= 0)
         assert np.all(np.diag(dense) - np.abs(off).sum(axis=1) > 0)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_solve_meets_tol_on_the_full_system(tol):
+    """After the back-substitution ‖b - A x‖/‖b‖ of the full dense oracle
+    system is at most tol and equals the reported residual, which the PCG
+    measured on the reduced system."""
+    rng = np.random.default_rng(14)
+    for k in range(40):
+        graph = random_graph(rng, include_dirichlet=k % 2 == 0)
+        sol = solve(graph, tol=tol)
+        a, b = dense_system_oracle(graph)
+        rel = np.linalg.norm(b - a @ sol.x) / np.linalg.norm(b)
+        assert rel <= tol
+        assert rel == pytest.approx(sol.residual, rel=1e-6)
 
 
 def test_solution_is_local_minimum_of_energy():
@@ -184,11 +230,12 @@ def test_singular_system_rejected():
 
 
 def test_loose_tolerance_breaking_maximum_principle_rejected():
-    # one Jacobi-preconditioned CG step overshoots 1 on this chain
-    p = np.array([0.91, 0.61, 0.73])
+    # one Jacobi-preconditioned CG step on the two unknowns of this chain
+    # (candidates 1 and 3) overshoots 1
+    p = np.array([0.67, 0.96, 0.93, 0.75])
     graph = CompactGraph(
-        edges=np.array([[0, 1], [1, 2]]),
-        edge_weights=np.array([0.54, 0.94]),
+        edges=np.array([[0, 1], [2, 1], [2, 3]]),
+        edge_weights=np.array([0.86, 0.25, 0.14]),
         prior_fg=p ** 2,
         prior_bg=(1.0 - p) ** 2,
     )
@@ -506,6 +553,15 @@ def test_graph_rejects_edges_outside_the_candidates(edges):
         graph_with(edges=np.array(edges))
 
 
+def test_graph_rejects_edges_that_do_not_2_colour_the_candidates():
+    # candidate 1 ends the first edge and starts the second
+    with pytest.raises(ValueError, match="edges must 2-colour the candidates"):
+        CompactGraph(edges=np.array([[0, 1], [1, 2]]), edge_weights=np.array([0.5, 0.5]),
+                     prior_fg=np.full(3, 0.25), prior_bg=np.full(3, 0.25))
+    CompactGraph(edges=np.array([[0, 1], [2, 1]]), edge_weights=np.array([0.5, 0.5]),
+                 prior_fg=np.full(3, 0.25), prior_bg=np.full(3, 0.25))
+
+
 @pytest.mark.parametrize("weights", [np.array([0.5, 0.5]), np.zeros(0), np.array([[0.5]])])
 def test_graph_rejects_edge_weights_not_one_per_edge(weights):
     with pytest.raises(ValueError, match="edge_weights must hold one weight per edge"):
@@ -566,7 +622,12 @@ def test_assemble_matches_neighbor_loop(case, beta, include_dirichlet):
     lo, hi = intensity.min(), intensity.max()
     data = (intensity - lo) / (hi - lo) if hi > lo else np.zeros_like(intensity)
     want_edges, want_dirichlet = assemble_oracle(sel, data, beta, include_dirichlet)
-    got_edges = sorted(zip(*graph.edges.T.tolist(), graph.edge_weights.tolist()))
+    # each edge runs from its even-parity voxel to its odd one, and the
+    # oracle takes a pair from its lower voxel, so pairs compare unordered
+    parity = np.sum(np.unravel_index(sel.candidate_idx, sel.dims), axis=0) % 2
+    assert not parity[graph.edges[:, 0]].any() and parity[graph.edges[:, 1]].all()
+    got_edges = sorted(zip(graph.edges.min(axis=1).tolist(), graph.edges.max(axis=1).tolist(),
+                           graph.edge_weights.tolist()))
     got_dirichlet = sorted(zip(graph.dirichlet_idx.tolist(),
                                graph.dirichlet_labels.tolist(),
                                graph.dirichlet_weights.tolist()))
@@ -629,13 +690,14 @@ def seeded_scene(seed, dims):
 
 
 @pytest.mark.parametrize("include_dirichlet, digest", [
-    (True, "1cfa171a910cef8ff838220b7936788f90de401b1812eac9d6dc243a6dad1a41"),
-    (False, "556033d55fac7334462fa1fc505f125d4b55c749aeca79dc55a5d3ab85872df4"),
+    (True, "08b71ac3d8f5aed78d84a7da802b0297f933814a924daddfdd7e497921a08430"),
+    (False, "31ce6e343a7f98e98f0c54f64c51ddac308ca80227b90fc14df964af4fe2c5eb"),
 ], ids=["dirichlet", "no-dirichlet"])
 def test_assemble_output_bytes_are_pinned(include_dirichlet, digest):
     # Pins the bytes of assemble's seven arrays on the seeded 16³ scene of
     # test_refine_output_bytes_are_pinned, so a change to the order of edges
-    # or Dirichlet terms, or to one weight bit, shows.
+    # or Dirichlet terms, to an edge's orientation or to one weight bit,
+    # shows.
     maps, intensity = seeded_scene(13, (16, 16, 16))
     graph = assemble(select(maps, 0.5), maps, intensity, 100.0,
                      include_dirichlet=include_dirichlet)
@@ -643,14 +705,14 @@ def test_assemble_output_bytes_are_pinned(include_dirichlet, digest):
 
 
 @pytest.mark.parametrize("include_dirichlet, digest", [
-    (True, "f48cee5870c386951f12e2a1aa5e002cd741d8f8add54cf4657f485c2ee1d56b"),
-    (False, "721e0c8b288448ec2d35ff198d4edbd545107572039046db583d5863a1f562bc"),
+    (True, "606c4cc962b62d679b7da8407db41d9b28ca7467ad7a3312364e7c26f8fea7d6"),
+    (False, "3e2ff10d5cc680c17d2a87466730b7ab625064336a43c8fdc01bf44848522ab4"),
 ], ids=["dirichlet", "no-dirichlet"])
 def test_refine_output_bytes_are_pinned(include_dirichlet, digest):
     # Pins refine's labels, float32 x and five counters on a seeded 16³
-    # scene of three float32 maps at theta 0.5 (2,048 candidates, 14 PCG
-    # iterations), so any change to selection, assembly or the solve that
-    # moves one output bit shows.
+    # scene of three float32 maps at theta 0.5 (2,048 candidates, 7 PCG
+    # iterations of the reduced system), so any change to selection,
+    # assembly or the solve that moves one output bit shows.
     maps, intensity = seeded_scene(13, (16, 16, 16))
     out = refine(maps, intensity, 0.5, beta=100.0, include_dirichlet=include_dirichlet)
     assert out.x.dtype == np.float32
@@ -658,16 +720,16 @@ def test_refine_output_bytes_are_pinned(include_dirichlet, digest):
 
 
 @pytest.mark.parametrize("include_dirichlet, assemble_sha, refine_sha", [
-    (True, "a5fabf777fcd4d8f1176309f6ee349947bd51d0e880849305fc047c9fca85203",
-     "401f0c72516f62fa92fc5af297f7e8d0083f9c07a422e5da8e577b30cbf04f92"),
-    (False, "dd2560457cff828cbe4ae0264839d1d410dc0e366ac61813dbf1478896974d81",
-     "feb62e0add31d038deb595a3765d8feca075f2e5e6a6bba5bbcfda8f19d7a1c7"),
+    (True, "48d6b3f0715b248f2f8d71059bb6544923cf3794feea10aaf5abe81a0d5a25f3",
+     "5c9f875eeaec6e4567b0964185f9b8c20ab9ead5fa79c0894fb579991fdcf8b8"),
+    (False, "a7d3bc65d034578dafa2dc302459e80447228e4b79aeadaa86595559e23a4689",
+     "3103899a6c1362e1ff72a6cb1e9df597876378f71718850c64b0df0e22795b35"),
 ], ids=["dirichlet", "no-dirichlet"])
 def test_output_bytes_are_pinned_on_a_non_cubic_lattice(
         include_dirichlet, assemble_sha, refine_sha):
     # The 16³ pins above cannot see a stride of one axis used for another:
     # on this 10x13x17 scene at theta 0.5 (1,105 candidates, 1,802 edges,
-    # 2,095 Dirichlet terms, 13 PCG iterations) every axis has its own
+    # 2,095 Dirichlet terms, 7 PCG iterations) every axis has its own
     # stride, padded or not.
     maps, intensity = seeded_scene(29, (10, 13, 17))
     graph = assemble(select(maps, 0.5), maps, intensity, 100.0,
@@ -680,7 +742,7 @@ def test_output_bytes_are_pinned_on_a_non_cubic_lattice(
 def test_assemble_peak_memory_is_bounded():
     """On a 24x32x40 scene at theta 0.5 (15,360 candidates, 25,512 edges,
     35,370 Dirichlet terms, a 1.25 MiB graph with intp edges) assemble
-    peaks at ~1.83 MiB (~125 B per candidate) when it reads the lattice
+    peaks at ~1.84 MiB (~125 B per candidate) when it reads the lattice
     through one padded lookup, frees its temporaries as it goes and joins
     the graph's fields one at a time.  Per-direction bounds masks and a
     per-voxel position array peak at ~3.12 MiB (~213 B), and keeping three
@@ -709,7 +771,7 @@ def test_system_reads_the_assembled_edges_in_place():
     edges, not a copy; a hand-built int32 or int64 [E,2] array is
     converted and gives the same system."""
     graph = seeded_graph()
-    apply, _, _ = build_system(graph)
+    apply = build_system(graph).apply
     cells = [c.cell_contents for c in apply.__closure__]
     rows = [c for c in cells if isinstance(c, np.ndarray) and np.shares_memory(c, graph.edges)]
     assert len(rows) == 2
@@ -724,18 +786,19 @@ def test_system_reads_the_assembled_edges_in_place():
 
 def test_solve_peak_memory_is_four_vectors_and_one_apply_above_the_system():
     """Past the built system (whose right-hand side the PCG takes as its
-    residual), solve holds x, p, z and A p, and one apply adds one E-sized
-    gather, scaled in place, and one bincount output: on the 15,360
-    candidates and 25,512 edges of seeded_graph that is ~0.78 MiB.  A PCG
-    that copies the right-hand side (+0.12 MiB) or an apply that holds a
-    gather beside its product (+0.19 MiB) fails the bound."""
+    residual), solve holds x (the system's start vector, counted here as the
+    PCG's), p, z and S p, and one apply adds one E-sized gather, scaled in
+    place, and one bincount output: on the 15,360 candidates and 25,512
+    edges of seeded_graph that is ~0.78 MiB.  A PCG that copies the
+    right-hand side (+0.12 MiB) or an apply that holds a gather beside its
+    product (+0.19 MiB) fails the bound."""
     graph = seeded_graph()
     n, e = graph.n_candidates, len(graph.edges)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         system = build_system(graph)
-        built = tracemalloc.get_traced_memory()[0] - base
+        built = tracemalloc.get_traced_memory()[0] - base - system.x.nbytes
         del system
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()

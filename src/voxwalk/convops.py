@@ -14,22 +14,21 @@ tap i.  In the flattened padded input, in-plane tap (j, l) of every
 position sits at the fixed offset j·Wp + l from it, so the tap's block of
 the [m·kh·kw, positions] column matrix is one contiguous slice of the input
 per map: an input plane is copied kh·kw times, not kd·kh·kw times.  One
-BLAS matmul per slab of input planes gives, in row block i, each input
-plane's share of output plane p − i.  Both directions hold a frame of
-output planes on the padded grid, whose last kd−1 planes are still open
-when a slab ends and move to the frame's head for the next one.  The
-forward adds the blocks into the frame; a plane is complete once its last
-input plane has been multiplied.  The backward writes each output-gradient
-plane into the frame once, gathers the kd planes that each input plane
-feeds into the GEMM's buffer, accumulates the weight gradient with one GEMM
-per slab and adds the column gradient back into the input one contiguous
-in-plane tap slice at a time.  Positions whose window crosses the pad
-margin hold no output: the forward drops them, and the backward gives them
-a zero gradient.  The slab is as many input planes as fit in
-`_SLAB_BYTES`, so the buffers stay bounded whatever the volume size.  A
-kernel of depth 1 is the same code with one row block and an empty frame
-head, which is how conv2d, the ConvLSTM's per-step state convolution, and
-the 1×1×1 projections run.
+BLAS matmul per input plane p gives, in row block i, its share of output
+plane p − i.  Both directions hold a frame of output planes p−kd+1 ... p on
+the padded grid, whose last kd−1 planes, still open, move to its head for
+the next input plane.  The forward adds the blocks into the frame and
+writes out its first plane, which has had all kd of its input planes.  The
+backward writes each output-gradient plane into the frame once, gathers
+the kd planes that each input plane feeds into the GEMM's buffer,
+accumulates the weight gradient with one GEMM per plane and adds the
+column gradient back into the input one contiguous in-plane tap slice at
+a time.  Positions whose window crosses the pad margin hold no output: the
+forward drops them, and the backward gives them a zero gradient.  The
+buffers span one input plane, so they do not grow with the volume's
+depth.  A kernel of depth 1 is the same code with one row block and an
+empty frame head, which is how conv2d, the ConvLSTM's per-step state
+convolution, and the 1×1×1 projections run.
 
 Operations compute in numpy's promoted dtype of their arguments, and the
 column buffer takes that dtype too.  The network holds float32 parameters
@@ -38,12 +37,9 @@ which halves the bytes every im2col copy and GEMM moves; the gradient
 checks promote the parameters and run the same code in float64.
 """
 
-import numpy as np
+import numbers
 
-# upper bound on the bytes of one slab's buffers: its im2col columns plus
-# its GEMM output and output frame on the padded grid; a slab holds as many
-# input planes as fit, and at least one
-_SLAB_BYTES = 2 << 20
+import numpy as np
 
 
 def _check_grad(grad, shape):
@@ -56,54 +52,46 @@ def _unit_out(xp, weights):
     return (weights.shape[0],) + tuple(s - k + 1 for s, k in zip(xp.shape[1:], weights.shape[2:]))
 
 
-def _slabs(xp, kext, n, dtype):
-    """Padded-grid im2col of the in-plane taps, one slab of input planes at a time.
+def _planes(xp, kext, n, dtype):
+    """Padded-grid im2col of the in-plane taps, one input plane at a time.
 
-    Yields (z0, frame, gslab, cols, taps, shifts) per slab of P input
-    planes.  `cols` [m·kh·kw, q] holds the in-plane windows of the slab's q
-    positions on the padded grid, and `taps` pairs each in-plane tap's
-    block of `cols` with the slice of the flattened `xp` it was copied
-    from.  `gslab` [kd·n, q] is the GEMM's output or gradient operand: its
-    row block i is depth tap i, so its column of input plane p belongs to
-    output plane p − i.  `frame` [n, kd−1+P, Hp, Wp] holds output planes
-    z0, z0+1, ... on the padded grid: its last P planes are row block 0,
-    and `shifts` pairs each row block i ≥ 1 with the slice of `frame` that
-    holds its output planes.  One zeroed buffer, of at most `_SLAB_BYTES`,
-    serves every slab.  After each slab its last kd−1 frame planes, the
-    output planes still open, move to the frame's head: this carry is the
-    only write to the first kd−1 planes, which start at zero.
+    Yields (p, frame, gslab, cols, taps, shifts) per input plane p.  `cols`
+    [m·kh·kw, q] holds the in-plane windows of the plane's first q
+    positions on the padded grid, up to its last true output, so no tap
+    reads past the plane; `taps` pairs each in-plane tap's block of `cols`
+    with the slice of the flattened `xp` it was copied from.  `gslab`
+    [kd·n, q] is the GEMM's output or gradient operand: its row block i is
+    depth tap i, which belongs to output plane p − i.  `frame`
+    [kd, n, Hp, Wp] holds output planes p−kd+1 ... p on the padded grid: its
+    last plane is row block 0, and `shifts` pairs each row block i ≥ 1 with
+    frame plane kd−1−i.  The buffers are made and zeroed once per call.
+    After each plane the frame's last kd−1 planes, the output planes still
+    open, move to its head: this carry is the only write to its first kd−1
+    planes.
     """
     m, dp, hp, wp = xp.shape
     kd, kh, kw = kext
-    hu, wu = hp - kh + 1, wp - kw + 1
     plane = hp * wp
-    lead = (kd - 1) * plane
+    q = (hp - kh) * wp + wp - kw + 1
     offs = [j * wp + l for j, l in np.ndindex(kh, kw)]
-    rows = m * len(offs)
-    fit = ((_SLAB_BYTES // (plane * np.dtype(dtype).itemsize) - (kd - 1) * kd * n)
-           // (rows + kd * n))
-    per = max(1, min(dp, fit))
     xf = xp.reshape(m, -1)
-    cbuf = np.empty(rows * per * plane, dtype=dtype)
-    gbuf = np.zeros((kd * n, lead + per * plane), dtype=dtype)
-    for p0 in range(0, dp, per):
-        p1 = min(dp, p0 + per)
-        # q1 ends at the slab's last true output, so no tap reads past xf's end
-        q0, q1 = p0 * plane, (p1 - 1) * plane + (hu - 1) * wp + wu
-        cols = cbuf[:rows * (q1 - q0)].reshape(m, len(offs), q1 - q0)
-        taps = [(cols[:, t], slice(q0 + off, q1 + off)) for t, off in enumerate(offs)]
+    cols = np.empty((m, len(offs), q), dtype=dtype)
+    # frame planes 0 ... kd-1, then row blocks 1 ... kd-1 of gslab
+    buf = np.zeros((2 * kd - 1, n, plane), dtype=dtype)
+    gslab = buf[kd - 1:].reshape(kd * n, plane)[:, :q]
+    shifts = [(buf[kd - 1 - i, :, :q], gslab[i * n:(i + 1) * n]) for i in range(1, kd)]
+    frame = buf[:kd].reshape(kd, n, hp, wp)
+    for p in range(dp):
+        taps = [(cols[:, t], slice(p * plane + off, p * plane + off + q))
+                for t, off in enumerate(offs)]
         for block, win in taps:
             block[...] = xf[:, win]
-        gslab = gbuf[:, lead:lead + q1 - q0]
-        shifts = [(gbuf[:n, lead - i * plane:lead - i * plane + q1 - q0],
-                   gslab[i * n:(i + 1) * n]) for i in range(1, kd)]
-        frame = gbuf[:n, :lead + (p1 - p0) * plane].reshape(n, -1, hp, wp)
-        yield p0 - (kd - 1), frame, gslab, cols.reshape(rows, -1), taps, shifts
-        frame[:, :kd - 1] = frame[:, p1 - p0:]
+        yield p, frame, gslab, cols.reshape(-1, q), taps, shifts
+        frame[:kd - 1] = frame[1:]
 
 
 def _by_depth_tap(weights):
-    """[n, m, kd, kh, kw] kernels as the [kd·n, m·kh·kw] matrix of `_slabs`."""
+    """[n, m, kd, kh, kw] kernels as the [kd·n, m·kh·kw] matrix of `_planes`."""
     return weights.transpose(2, 0, 1, 3, 4).reshape(weights.shape[0] * weights.shape[2], -1)
 
 
@@ -118,12 +106,12 @@ def _conv_backward(grad, xp, weights, pads):
     dxp = np.zeros(xp.shape, dtype=dtype)
     dxf = dxp.reshape(xp.shape[0], -1)
     dwt = np.zeros(w2.shape[::-1], dtype=dtype)
-    for z0, frame, gslab, cols, taps, shifts in _slabs(xp, kext, n, dtype):
-        # the frame's head came by the carry; its P new planes are outputs
-        # p0 ... p1-1, zero past the last output plane
-        new = grad[:, z0 + kd - 1:z0 + frame.shape[1]]
-        frame[:, kd - 1:kd - 1 + new.shape[1], :hu, :wu] = new
-        frame[:, kd - 1 + new.shape[1]:] = 0
+    for p, frame, gslab, cols, taps, shifts in _planes(xp, kext, n, dtype):
+        # the frame's head came by the carry; its last plane is output p
+        if p < grad.shape[1]:
+            frame[-1, :, :hu, :wu] = grad[:, p]
+        else:
+            frame[-1] = 0
         for acc, block in shifts:
             block[...] = acc
         dwt += cols @ gslab.T
@@ -179,16 +167,16 @@ def conv3d_forward(x, weights, bias, padding="same"):
     w2 = _by_depth_tap(weights)
     y = np.empty(_unit_out(xp, weights), dtype=dtype)
     hu, wu = y.shape[2:]
-    for z0, frame, gslab, cols, _, shifts in _slabs(xp, kext, y.shape[0], dtype):
+    for p, frame, gslab, cols, _, shifts in _planes(xp, kext, y.shape[0], dtype):
         np.matmul(w2, cols, out=gslab)
         for acc, block in shifts:
             acc += block
-        # the frame's first P planes have had all kd of their input planes
-        lo = max(z0, 0)
-        done = frame[:, lo - z0:frame.shape[1] - (kd - 1)]
-        if bias is not None:
-            done += bias[:, None, None, None]  # whole planes: fewer, longer loops
-        y[:, lo:lo + done.shape[1]] = done[:, :, :hu, :wu]
+        # the frame's first plane, output z, has had all kd of its input planes
+        z = p - (kd - 1)
+        if z >= 0:
+            if bias is not None:
+                frame[0] += bias[:, None, None]  # whole planes: fewer, longer loops
+            y[:, z] = frame[0, :, :hu, :wu]
     return y, xp, pads
 
 
@@ -227,17 +215,28 @@ def conv2d_backward(grad, xp, weights, pads):
     return dx[:, 0], dweights[:, :, 0]
 
 
-def _check_window(x, window):
+def _entries(x, window, name):
+    """window as a tuple of ints, one >= 1 per axis of x."""
+    for w in window:
+        # bool is an int subclass, and 2.5 is no extent
+        if isinstance(w, bool) or not isinstance(w, numbers.Integral):
+            raise ValueError(f"{name} entries must be integers, got {w!r} in {tuple(window)}")
     window = tuple(int(w) for w in window)
     if len(window) != x.ndim:
         raise ValueError(
-            f"window {window} must have one entry per tensor axis ({x.ndim})")
+            f"{name} {window} must have one entry per tensor axis ({x.ndim})")
     if any(w < 1 for w in window):
-        raise ValueError(f"window entries must be >= 1, got {window}")
+        raise ValueError(f"{name} entries must be >= 1, got {window}")
+    return window
+
+
+def _check_window(x, window, name="window"):
+    """window as a tuple of ints, one >= 1 per axis of x that divides its extent."""
+    window = _entries(x, window, name)
     for ax, (s, w) in enumerate(zip(x.shape, window)):
         if s % w != 0:
             raise ValueError(
-                f"extent {s} of axis {ax} is not divisible by window {w}")
+                f"extent {s} of axis {ax} is not divisible by {name} {w}")
     return window
 
 
@@ -295,12 +294,7 @@ def pool3d_backward(grad, cache):
 def upsample(x, factor):
     """Nearest-neighbor replication by an integer factor per axis."""
     x = np.asarray(x)
-    factor = tuple(int(f) for f in factor)
-    if len(factor) != x.ndim:
-        raise ValueError(
-            f"factor {factor} must have one entry per tensor axis ({x.ndim})")
-    if any(f < 1 for f in factor):
-        raise ValueError(f"factors must be >= 1, got {factor}")
+    factor = _entries(x, factor, "factor")
     y = np.empty(tuple(s * f for s, f in zip(x.shape, factor)), dtype=x.dtype)
     # one strided copy of x per offset within the replication block
     for view in _window_views(y, factor):
@@ -310,6 +304,7 @@ def upsample(x, factor):
 
 def upsample_backward(grad, factor):
     """Adjoint of :func:`upsample`: sums gradients over each replicated block."""
+    factor = _check_window(grad, factor, "factor")
     g = grad
     for ax, f in enumerate(factor):
         if f > 1:

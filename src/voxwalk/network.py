@@ -82,6 +82,8 @@ class NetworkSpec:
             raise ValueError(f"unit_type must be one of {UNIT_TYPES}, got {self.unit_type!r}")
         for name in ("depth", "kernel", "temporal_kernel", "rng_seed"):
             _check_integer(name, getattr(self, name))
+        if not isinstance(self.widths, (tuple, list)):
+            raise ValueError(f"widths must be a sequence of integers, got {self.widths!r}")
         for w in self.widths:
             _check_integer("widths", w)
         self.widths = tuple(int(w) for w in self.widths)

@@ -12,6 +12,7 @@ float32 without widening it.
 
 import json
 import math
+import numbers
 import os
 
 import numpy as np
@@ -133,9 +134,12 @@ def synth(seed, dims, n_blobs=3, noise_sigma=0.05):
     SYNTH_MIDPOINT at the rim to SYNTH_BACKGROUND + SYNTH_CONTRAST at the
     core.
     """
+    dims = tuple(dims)
+    # bool is an int subclass, and 8.7 is no extent
+    integral = all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in dims)
+    if len(dims) != 3 or not integral or any(s < 8 for s in dims):
+        raise ValueError(f"dims must be three integer extents >= 8, got {dims}")
     dims = tuple(int(s) for s in dims)
-    if len(dims) != 3 or any(s < 8 for s in dims):
-        raise ValueError(f"dims must be three extents >= 8, got {dims}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if n_blobs < 0:

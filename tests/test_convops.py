@@ -1,3 +1,5 @@
+import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,9 +16,10 @@ from voxwalk.convops import (
     upsample,
     upsample_backward,
 )
-from voxwalk.network import Conv3DLayer, ConvLSTMUnit
+from voxwalk.network import Conv3DLayer
 
 from oracles import conv3d_oracle, numeric_grad, pool_oracle, upsample_oracle
+from test_network import in_one_blas_thread
 
 
 def conv3d(x, w, b):
@@ -129,53 +132,47 @@ def test_conv3d_backward_matches_numeric():
     assert np.allclose(db, numeric_grad(run, b), atol=1e-7)
 
 
-@pytest.fixture
-def small_slabs(monkeypatch):
-    # a few hundred bytes per im2col buffer: every conv below runs in 1-plane slabs
-    monkeypatch.setattr(convops, "_SLAB_BYTES", 300)
-
-
-def test_conv3d_multi_slab_matches_loop_oracle(small_slabs):
+def test_conv3d_multi_plane_matches_loop_oracle():
     rng = np.random.default_rng(23)
     x = rng.normal(size=(2, 9, 6, 8))
     b = rng.normal(size=3)
-    # depth 3: output planes stay open across several slabs; depth 5: the
-    # frame's head carries 4 open planes, more than a slab holds
+    # depth 3: each output plane stays open across three input planes; depth
+    # 5: the frame's head carries 4 open planes
     for w in (rng.normal(size=(3, 2, 2, 3, 2)), rng.normal(size=(3, 2, 3, 3, 2)),
               rng.normal(size=(3, 2, 5, 3, 2))):
         got = conv3d(x, w, b)
-        assert got.shape[1] > 2  # more output planes than fit in one slab
         assert np.allclose(got, conv3d_oracle(x, w, b), rtol=1e-12)
 
 
-def test_conv3d_forward_reads_only_what_its_gemm_writes(small_slabs, monkeypatch):
-    """The forward's slab buffer keeps stale values from slab to slab: NaN
-    in every plane of the GEMM's output, put there before the GEMM, changes
-    no output.  Only the frame's first kd-1 planes, the output planes left
-    open by the previous slab, are kept."""
-    slabs = convops._slabs
+def test_conv3d_forward_reads_only_what_its_gemm_writes(monkeypatch):
+    """The forward's frame keeps stale values from plane to plane: NaN in
+    its last plane and in every other row block of the GEMM's output, put
+    there before the GEMM, changes no output.  Only the frame's first kd-1
+    planes, the output planes left open by the previous input plane, are
+    kept."""
+    planes = convops._planes
     rng = np.random.default_rng(24)
     x = rng.normal(size=(2, 7, 6, 8))
     w = rng.normal(size=(3, 2, 2, 3, 2))
     b = rng.normal(size=3)
 
     def poisoned(*args):
-        for item in slabs(*args):
+        for item in planes(*args):
             _, frame, _, _, _, shifts = item
-            frame[:, w.shape[2] - 1:] = np.nan  # depth tap 0's rows, past the GEMM's end too
+            frame[-1] = np.nan  # depth tap 0's rows, past the GEMM's end too
             for _, block in shifts:
                 block[...] = np.nan
             yield item
 
-    monkeypatch.setattr(convops, "_slabs", poisoned)
+    monkeypatch.setattr(convops, "_planes", poisoned)
     assert np.allclose(conv3d(x, w, b), conv3d_oracle(x, w, b), rtol=1e-12)
 
 
-def test_conv3d_multi_slab_backward_matches_numeric(small_slabs):
+def test_conv3d_multi_plane_backward_matches_numeric():
     rng = np.random.default_rng(29)
     x = rng.normal(size=(2, 7, 5, 7))
     b = rng.normal(size=3)
-    # depth 5: the frame's head carries 4 gradient planes, more than a slab holds
+    # depth 5: the frame's head carries 4 gradient planes
     for w in (rng.normal(size=(3, 2, 3, 2, 2)), rng.normal(size=(3, 2, 5, 2, 2))):
         y, xp, pads = conv3d_forward(x, w, b)
         r = rng.normal(size=y.shape)
@@ -191,34 +188,41 @@ def test_conv3d_multi_slab_backward_matches_numeric(small_slabs):
         assert np.allclose(db, numeric_grad(run, b), atol=1e-7)
 
 
-def test_conv_slab_size_does_not_change_results(monkeypatch):
-    """A 1-byte slab holds one output plane, so both the conv3d and the
-    ConvLSTM unit's input-to-state convolution over its 6 steps run in 6
-    slabs; at 8 MB each runs in one."""
-    rng = np.random.default_rng(37)
-    x = rng.normal(size=(3, 6, 5, 4))
-    w = rng.normal(size=(2, 3, 3, 3, 3))
-    g = rng.normal(size=(2, 6, 5, 4))
-    unit = ConvLSTMUnit(3, 2, 3, rng)
-    unit.b = rng.normal(size=unit.b.shape)
-    results = []
-    for slab_bytes in (1, 8 << 20):
-        monkeypatch.setattr(convops, "_SLAB_BYTES", slab_bytes)
-        y, xp, pads = conv3d_forward(x, w, None)
-        h, cache = unit.forward(x)
-        dx, grads = unit.backward(g, cache)
-        results.append((y, *conv3d_backward(g, xp, w, (1, 1, 1), pads),
-                        h, dx, *grads.values()))
-    for a, b in zip(*results):
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+def forward_digests():
+    """sha256 of the float32 outputs of conv3d_forward with a bias and
+    depth-3 and depth-5 kernels over 8 planes, of a no-bias conv2d_forward
+    and of a 1x1x1 projection."""
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(4, 8, 40, 48)).astype(np.float32)
+    b = rng.normal(size=5).astype(np.float32)
+    kernels = [rng.normal(size=(5, 4, kd, 3, 3)).astype(np.float32) for kd in (3, 5)]
+    outs = [conv3d_forward(x, w, b)[0] for w in kernels]
+    outs.append(conv2d_forward(x[:, 0], kernels[0][:, :, 0])[0])
+    outs.append(conv3d_forward(x, rng.normal(size=(5, 4, 1, 1, 1)).astype(np.float32), b)[0])
+    return [hashlib.sha256(y.tobytes()).hexdigest() for y in outs]
+
+
+def test_conv_forward_bytes_are_pinned():
+    # Pins the forward's summation order: each output voxel is its depth
+    # taps' GEMM sums added in tap order, then the bias.  So the bytes do
+    # not depend on how many input planes one GEMM multiplies; a kernel
+    # that multiplied up to 4 (depth 3) and 2 (depth 5) planes per GEMM
+    # here gave these digests too.
+    assert in_one_blas_thread(forward_digests) == [
+        "2838f53ff4e8054663de7deb4cd575b55cc2e967cc1bd9edbed6d132241e7c31",
+        "941dd1a920343f489f452976d6ce9407fbf6c0464153c9d3ae0312c3d371bfc9",
+        "07f1e63e7138c85a88ffb87601502107126619e7edb977e08c8eb16b7dfd5627",
+        "f307b8c42cbb0d278b11247d05ee930d117d16fabb6f609163518e99ce63c243",
+    ]
 
 
 def test_conv3d_peak_memory_is_bounded():
-    """Beyond its output and padded input, a conv holds one slab's buffers:
-    a full-volume output, output sum or gradient on the padded grid breaks
-    the bounds, for an in-plane kernel and for a 3x3x3 one."""
+    """Beyond its output and padded input (and the backward beyond the
+    input gradient on the padded grid), a conv holds one input plane's
+    buffers: m·kh·kw im2col rows and 2kd−1 planes of n maps on the padded
+    grid.  A full-volume output, output sum or gradient on the padded grid
+    breaks the bounds, for an in-plane kernel and for a 3x3x3 one."""
     rng = np.random.default_rng(41)
-    slack = convops._SLAB_BYTES + (1 << 20)
     for maps, kernel in ((1, (32, 1, 1, 3, 3)), (8, (8, 8, 3, 3, 3))):
         x = rng.normal(size=(maps, 32, 64, 64)).astype(np.float32)
         w = rng.normal(size=kernel).astype(np.float32)
@@ -234,8 +238,10 @@ def test_conv3d_peak_memory_is_bounded():
             backward_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert forward_peak <= y.nbytes + xp.nbytes + slack, kernel
-        assert backward_peak <= 2 * xp.nbytes + slack, kernel
+        n, m, kd, kh, kw = kernel
+        buffers = (m * kh * kw + (2 * kd - 1) * n) * xp[0, 0].nbytes + (1 << 20)  # slack
+        assert forward_peak <= y.nbytes + xp.nbytes + buffers, kernel
+        assert backward_peak <= xp.nbytes + buffers, kernel
 
 
 def test_conv2d_matches_conv3d_on_singleton_axis():
@@ -369,6 +375,15 @@ def test_backward_rejects_mis_shaped_gradients():
         with pytest.raises(ValueError) as err:
             backward(np.ones(bad))
         assert str(bad) in str(err.value) and str(good) in str(err.value)
+    # upsample_backward holds no output shape, only the factor the gradient
+    # must fit: one entry per axis, each dividing its extent
+    upsample_backward(np.ones((1, 2, 4, 4)), (1, 1, 2, 2))
+    for shape, factor, match in [((1, 2, 4, 4), (1, 2, 2), "per tensor axis"),
+                                 ((2, 4, 4), (1, 1, 2, 2), "per tensor axis"),
+                                 ((1, 3, 4, 4), (1, 2, 2, 2), "extent 3 of axis 1"),
+                                 ((1, 2, 4, 4), (1, 1, 0, 2), ">= 1")]:
+        with pytest.raises(ValueError, match=match):
+            upsample_backward(np.ones(shape), factor)
 
 
 def test_upsample_replicates_value():
@@ -408,3 +423,13 @@ def test_window_and_factor_rank_checked():
         pool3d(np.zeros((2, 2, 2, 2)), (2, 2))
     with pytest.raises(ValueError, match="per tensor axis"):
         upsample(np.zeros((2, 2)), (1, 2, 2))
+
+
+@pytest.mark.parametrize("entry", [2.5, 2.0, True, "2"])
+def test_window_and_factor_entries_must_be_integers(entry):
+    # int() used to truncate a 2.5 window to 2
+    x = np.ones((1, 2, 2, 2))
+    for op in (pool3d_forward, upsample, upsample_backward):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(entry))} in"):
+            op(x, (1, 1, 1, entry))
+    assert pool3d(x, (np.int64(1), 1, 2, 2)).shape == (1, 2, 1, 1)

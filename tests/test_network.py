@@ -78,7 +78,7 @@ def test_spec_validation():
                          ("rng_seed", -1)]:
         with pytest.raises(ValueError, match=field):
             NetworkSpec(**{"unit_type": "conv3d", "depth": 1, "widths": (2, 2), field: value})
-    for widths in [(2.9, 3), (2, 3.5), (True, 2)]:
+    for widths in [(2.9, 3), (2, 3.5), (True, 2), 5, None]:
         with pytest.raises(ValueError, match="widths"):
             NetworkSpec("conv3d", 1, widths)
     for alpha in [True, "0.5", None]:
@@ -315,13 +315,13 @@ def in_one_blas_thread(fn, *args):
     on its thread count, so a byte pin holds at one count only, and the
     child fixes it whatever count this process runs at.  (OpenBLAS built
     with DYNAMIC_ARCH also picks its kernels per CPU, which may still move
-    the bytes on another CPU model.)  fn is a function of this module; its
-    result comes back through repr."""
+    the bytes on another CPU model.)  fn is a module-level function of a
+    test module; its result comes back through repr."""
     tests = Path(__file__).parent
     path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
                                          os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    code = f"import test_network; print(repr(test_network.{fn.__name__}(*{args!r})))"
+    code = f"import {fn.__module__} as m; print(repr(m.{fn.__name__}(*{args!r})))"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
@@ -354,8 +354,8 @@ def test_convlstm_checkpoint_bytes_are_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("unit_type, digest", [
-    ("conv3d", "fa433e1b816edabc159e13c36e0eda1ebeaf2e705e0e1ce08e09e8e8ffaa6892"),
-    ("convlstm", "4d1df6f4b58bc550f6850a31b108235a649af1173e70ff5c7622e27cb7e78e26"),
+    ("conv3d", "daf385dee27383bd8683feddaaa1e4efc41cca5c30edff6909b1827fc2bf55a1"),
+    ("convlstm", "0520b067474e019ac26c9ceeddeb967f36a59a41c1f46e0a55d30cec654b1082"),
 ], ids=["conv3d", "convlstm"])
 def test_depth2_checkpoint_bytes_are_pinned(tmp_path, unit_type, digest):
     # Pins the gradient routing through two levels: the 4 SGD steps pass
@@ -370,47 +370,31 @@ def test_depth2_checkpoint_bytes_are_pinned(tmp_path, unit_type, digest):
 
 def depth2_net_and_volume(unit_type):
     """A seeded depth-2 net (widths 4,8,16) and a 16x32x32 volume (16,384
-    voxels), where the level-0 convolutions span several slabs."""
+    voxels), where each level-0 convolution runs 16 or more input planes."""
     net = RandomConnectionNet(NetworkSpec(unit_type, 2, (4, 8, 16), rng_seed=5))
     return net, np.random.default_rng(5).normal(0.5, 0.25, (16, 32, 32))
 
 
 def multi_slab_gradient_digest(unit_type):
-    """(most slabs in one conv call, sha256 of the float32 gradient of one
-    loss_and_grads at 16x32x32)."""
-    slabs_per_call = []
-    slabs = convops._slabs
-
-    def count(*args):
-        slabs_per_call.append(0)
-        for item in slabs(*args):
-            slabs_per_call[-1] += 1
-            yield item
-
-    convops._slabs = count
-    try:
-        net, vol = depth2_net_and_volume(unit_type)
-        _, grad = net.loss_and_grads(vol, (vol > 0.5).astype(np.float64),
-                                     mask=np.array([True, False]))
-    finally:
-        convops._slabs = slabs
-    return max(slabs_per_call), hashlib.sha256(grad.tobytes()).hexdigest()
+    """sha256 of the float32 gradient of one loss_and_grads at 16x32x32."""
+    net, vol = depth2_net_and_volume(unit_type)
+    _, grad = net.loss_and_grads(vol, (vol > 0.5).astype(np.float64),
+                                 mask=np.array([True, False]))
+    return hashlib.sha256(grad.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("unit_type, digest", [
-    ("conv3d", "7a77d8cff812b60f1d15216876845bb90370e036a7d0d754aaa25c5bbd18e65d"),
-    ("convlstm", "2ba449c1217059b45ff0a242b861e845eaf9d37eee7ccf9c9927da6cfb4abe1a"),
+    ("conv3d", "6147177609c059d0beb223f2368af0ebb51f91c162653e0899898720c50516c5"),
+    ("convlstm", "41365969cf0da44bf1c875f2deb16ddafb1b8614ea959dd116ec157be0ad2b80"),
 ], ids=["conv3d", "convlstm"])
 def test_multi_slab_gradient_bytes_are_pinned(unit_type, digest):
-    # Pins the float32 gradient of one loss_and_grads at 16x32x32, where the
-    # level-0 convolutions span several slabs; the checkpoint pins above
-    # train on 4x8x8 volumes, where every convolution fits in one slab.
+    # Pins the float32 gradient of one loss_and_grads at 16x32x32, where
+    # each level-0 convolution sums its weight gradient over 16 or more
+    # one-plane GEMMs; the checkpoint pins above train on 4x8x8 volumes.
     # The float64 promotion of the same parameters gives a gradient at most
     # 1.0e-9 (conv3d) and 2.7e-10 (convlstm) from this one (the largest
     # absolute difference).
-    slabs, got = in_one_blas_thread(multi_slab_gradient_digest, unit_type)
-    assert slabs > 1
-    assert got == digest
+    assert in_one_blas_thread(multi_slab_gradient_digest, unit_type) == digest
 
 
 def infer_digest(unit_type):
@@ -424,8 +408,8 @@ def infer_digest(unit_type):
 ], ids=["conv3d", "convlstm"])
 def test_infer_bytes_are_pinned(unit_type, digest):
     # Pins the output of the inference forward, which pushes its caches onto
-    # a sink that keeps nothing, where the level-0 convolutions span several
-    # slabs; the training pins above never run that sink.
+    # a sink that keeps nothing, at 16x32x32; the training pins above never
+    # run that sink.
     assert in_one_blas_thread(infer_digest, unit_type) == digest
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import warnings
 
@@ -229,6 +230,14 @@ def test_synth_rejects_degenerate_dims():
         synth(0, (8, 8, 8), n_blobs=-1)
     with pytest.raises(ValueError, match="seed"):
         synth(-1, (8, 8, 8))
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 8.7), (8.0, 8, 8), (True, 8, 8)])
+def test_synth_rejects_non_integer_dims(dims):
+    # int() used to truncate 8.7 to an 8^3 scene
+    with pytest.raises(ValueError, match=re.escape(repr(dims))):
+        synth(1, dims)
+    assert synth(1, (np.int64(8), 8, 8))[1].shape == (8, 8, 8)
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
